@@ -29,6 +29,7 @@ import numpy as np
 from .cones import boundary_scale, dual_violation
 from .plans import BalancedStrategy, ContingentPlan, DualPlan
 from .scenario import MarkovSpec, ScenarioTree, sample_paths
+from .solver import _StationaryProgram
 
 __all__ = [
     "CertificateReport",
@@ -273,23 +274,6 @@ class DominanceReport:
         return buf.getvalue()
 
 
-def _balanced_alphas(spec: MarkovSpec, cone_table, xs: np.ndarray
-                     ) -> np.ndarray:
-    """Growth factor per destination state: the largest scale of the
-    destination proportions reachable from every positive-probability
-    predecessor's proportions."""
-    k = spec.k
-    alpha = np.ones(k)
-    for v in range(k):
-        best = np.inf
-        for u in np.flatnonzero(spec.P[:, v] > 0.0):
-            cone = cone_table.resolve(spec.states[int(u)], spec.states[v])
-            best = min(best, boundary_scale(cone, xs[int(u)], xs[v]))
-        if best < np.inf:
-            alpha[v] = best
-    return alpha
-
-
 def asymptotic_dominance(equilibrium, spec: MarkovSpec, cone_table,
                          competitors: int = 20, length: int = 500,
                          paths: int = 200, seed: int = 0,
@@ -314,20 +298,19 @@ def asymptotic_dominance(equilibrium, spec: MarkovSpec, cone_table,
                    for s in spec.states])
     log_ax = np.log(_require_positive(
         np.array([strategy.alpha[s] for s in spec.states]), "the strategy"))
+    prog = _StationaryProgram(spec, cone_table)
 
     entries = []
     for i in range(n):
         e_i = np.zeros(n)
         e_i[i] = 1.0
         prop = np.tile(e_i, (k, 1))
-        entries.append((f"hold-{i}", prop,
-                        _balanced_alphas(spec, cone_table, prop)))
+        entries.append((f"hold-{i}", prop, prog.growth_factors(prop)))
     entries.append(("dispose-10", xs, 0.9 * np.exp(log_ax)))
     rng = np.random.default_rng(seed)
     for j in range(competitors):
         prop = rng.dirichlet(np.ones(n), size=k)
-        entries.append((f"random-{j}", prop,
-                        _balanced_alphas(spec, cone_table, prop)))
+        entries.append((f"random-{j}", prop, prog.growth_factors(prop)))
     for name in sorted(include or {}):
         extra = include[name]
         prop = np.stack([np.asarray(extra.x[s], dtype=float)
@@ -339,7 +322,6 @@ def asymptotic_dominance(equilibrium, spec: MarkovSpec, cone_table,
     lx = np.cumsum(log_ax[S], axis=1)
     growth_x = lx[:, -1] / length
 
-    pi = spec.stationary_distribution()
     rows = []
     for name, _prop, alph in entries:
         log_ay = np.log(_require_positive(alph, f"competitor {name!r}"))
@@ -371,7 +353,7 @@ def asymptotic_dominance(equilibrium, spec: MarkovSpec, cone_table,
         length=length,
         paths=paths,
         seed=seed,
-        strategy_growth=float(pi @ log_ax),
+        strategy_growth=float(prog.pi @ log_ax),
         rows=tuple(rows),
     )
 

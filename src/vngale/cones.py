@@ -4,33 +4,40 @@ A solvency cone is the set of portfolio pairs ``(a, b)`` such that the
 holdings ``a``, after returns are applied, can be rebalanced into ``b``
 without injecting outside funds.  Self-financing trading strategies are
 exactly the paths of the induced dynamical system: ``(x_{t-1}, x_t)`` must
-lie in the cone attached to the step.  Three families are provided:
+lie in the cone attached to the step.
 
-``frictionless``
-    Positions are market values.  Rebalancing preserves total wealth:
-    ``sum(b) <= sum(R * a)`` with ``R`` the vector of gross returns over
-    the step.
+Every cone is one object, an exchange cone.  Its exchange matrix ``G``
+(:attr:`ConeSpec.exchange`) holds in ``G[i, j]`` the units of asset ``i``
+delivered per unit of asset ``j`` held before returns, and ``(a, b)`` is a
+member when some nonnegative exchange matrix ``d`` ships at most ``a``
+and delivers at least ``b``:
 
-``proportional_tc``
-    Frictionless plus proportional transaction costs.  Buying one value
-    unit of asset ``i`` costs ``1 + lambda_plus[i]``; selling one yields
-    ``1 - lambda_minus[i]``.  Membership is the single piecewise-linear
-    budget inequality
+    sum_i d[i, j] <= a[j]      and      b[i] <= sum_j G[i, j] d[i, j].
 
-        sum_i max((1 + lp_i) d_i, (1 - lm_i) d_i) <= 0,
-        d = b - R * a,
+The cone is generated by the rays ``(e_j, G[i, j] e_i)`` and the disposal
+rays ``(e_j, 0)``, which gives the dual cone (``G[i, j] d_i <= c_j``) and
+the dual violation in closed form.  The three constructors only differ in
+``G``:
 
-    which equals the buy/sell form
-    ``sum (1+lp)(b-Ra)_+ <= sum (1-lm)(Ra-b)_+``.
+``frictionless(R)``
+    Positions are market values and rebalancing preserves wealth:
+    ``G[i, j] = R_j``.
 
-``currency``
-    Positions are physical units of ``n`` currencies.  ``mu[i, j] > 0`` is
-    the number of units of currency ``i`` received per unit of currency
-    ``j`` exchanged (``mu[i, i] == 1``).  ``(a, b)`` is a member when some
-    nonnegative exchange matrix ``d`` ships at most ``a`` and delivers at
-    least ``b``:
+``proportional_tc(R, lambda_plus, lambda_minus)``
+    Buying one value unit of asset ``i`` costs ``1 + lambda_plus[i]``;
+    selling one yields ``1 - lambda_minus[i]``:
+    ``G[i, j] = R_j (1 - lm_j) / (1 + lp_i)`` and ``G[j, j] = R_j``.
 
-        sum_j d[j, i] <= a[i]      and      b[i] <= sum_j mu[i, j] d[i, j].
+``currency(mu)``
+    Positions are physical units of ``n`` currencies and ``G = mu``
+    (``mu[i, j] > 0`` units of ``i`` per unit of ``j``, ``mu[i, i] == 1``).
+
+When ``G`` factors through cash (the first two families) the cone also
+has budget rows (:attr:`ConeSpec.budget`): one row ``w`` per buy/sell sign
+pattern, de-duplicated, with membership ``w . (b - R * a) <= 0`` for every
+row.  A frictionless cone is its single row of ones.  Membership and
+:func:`boundary_scale` are then exact row computations; cones without
+budget rows use a linear program over ``d``.
 
 All cones are closed and convex, contain no short positions, and allow
 free disposal.  Membership tests use a relative tolerance scaled by
@@ -40,6 +47,7 @@ free disposal.  Membership tests use a relative tolerance scaled by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -116,8 +124,8 @@ class ConeSpec:
             raise ValueError("returns must be finite and strictly positive")
         if (lp_ < 0).any() or not np.isfinite(lp_).all():
             raise ValueError("lambda_plus must be finite and >= 0")
-        if (lm < 0).any() or (lm > 1).any():
-            raise ValueError("lambda_minus must lie in [0, 1]")
+        if not ((lm >= 0) & (lm <= 1)).all():
+            raise ValueError("lambda_minus must be finite and lie in [0, 1]")
         return cls(PROPORTIONAL_TC, r.size, returns=r, lambda_plus=lp_,
                    lambda_minus=lm)
 
@@ -131,6 +139,47 @@ class ConeSpec:
         if not np.allclose(np.diag(m), 1.0, rtol=0, atol=1e-12):
             raise ValueError("diagonal exchange rates must equal 1")
         return cls(CURRENCY, m.shape[0], mu=m)
+
+    @cached_property
+    def sell_rates(self) -> np.ndarray:
+        """Cash per value unit sold: ``1 - lambda_minus``, else ones."""
+        if self.lambda_minus is None:
+            return _readonly(np.ones(self.n))
+        return _readonly(1.0 - self.lambda_minus)
+
+    @cached_property
+    def _buy_rates(self) -> np.ndarray:
+        if self.lambda_plus is None:
+            return _readonly(np.ones(self.n))
+        return _readonly(1.0 + self.lambda_plus)
+
+    @cached_property
+    def exchange(self) -> np.ndarray:
+        """Exchange matrix G: units of asset i per unit of asset j held."""
+        if self.mu is not None:
+            return self.mu
+        G = np.outer(1.0 / self._buy_rates, self.returns * self.sell_rates)
+        np.fill_diagonal(G, self.returns)
+        return _readonly(G)
+
+    @cached_property
+    def budget(self) -> np.ndarray | None:
+        """Budget rows, or None when G does not factor through cash.
+
+        Row ``w`` weighs each asset by its buy rate ``1 + lambda_plus``
+        or its sell rate ``1 - lambda_minus``; there is one row per
+        buy/sell pattern of the assets whose two rates differ, counted
+        in binary (first asset most significant, buy = 1).  ``(a, b)``
+        is a member iff ``w . (b - R * a) <= 0`` for every row.
+        """
+        if self.returns is None:
+            return None
+        buy, sell = self._buy_rates, self.sell_rates
+        k = np.flatnonzero(buy != sell)
+        bits = (np.arange(2 ** k.size)[:, None] >> np.arange(k.size)[::-1]) & 1
+        rows = np.tile(sell, (bits.shape[0], 1))
+        rows[:, k] = np.where(bits, buy[k], sell[k])
+        return _readonly(rows)
 
     def to_dict(self) -> dict:
         if self.family == FRICTIONLESS:
@@ -174,42 +223,43 @@ def _check_pair(cone: ConeSpec, a, b):
 def membership_residual(cone: ConeSpec, a, b) -> float:
     """Scaled membership residual of ``(a, b)``.
 
-    Nonpositive (or below the working tolerance) means member.  For the
-    closed-form families the value is the signed constraint slack divided
-    by ``1 + |a| + |b|``; for currency cones it is the smallest uniform
+    Nonpositive (or below the working tolerance) means member.  With
+    budget rows the value is the largest row slack ``w . (b - R * a)``
+    divided by ``1 + |a| + |b|``; otherwise it is the smallest uniform
     delivery shortfall obtainable by any exchange matrix, likewise scaled,
     so it is zero (never negative) on members.
     """
     a, b = _check_pair(cone, a, b)
     scale = 1.0 + a.sum() + b.sum()
-    if cone.family == FRICTIONLESS:
-        return float(b.sum() - cone.returns @ a) / scale
-    if cone.family == PROPORTIONAL_TC:
-        d = b - cone.returns * a
-        terms = np.maximum((1.0 + cone.lambda_plus) * d,
-                           (1.0 - cone.lambda_minus) * d)
-        return float(terms.sum()) / scale
-    return _currency_shortfall(cone, a, b) / scale
+    if cone.budget is None:
+        return _exchange_shortfall(cone, a, b) / scale
+    return float((cone.budget @ (b - cone.returns * a)).max()) / scale
 
 
-def _currency_shortfall(cone: ConeSpec, a, b) -> float:
+def _exchange_rows(G):
+    """Availability and delivery rows over a flattened exchange matrix.
+
+    With ``d`` the row-major flattening of the exchange matrix,
+    ``avail @ d`` is what each asset ships (``sum_i d[i, j]``) and
+    ``deliver @ d`` what each asset receives (``sum_j G[i, j] d[i, j]``).
+    """
+    n = G.shape[0]
+    avail = np.tile(np.eye(n), (1, n))
+    deliver = (np.eye(n)[:, :, None] * G[None, :, :]).reshape(n, n * n)
+    return avail, deliver
+
+
+def _exchange_shortfall(cone: ConeSpec, a, b) -> float:
     """Smallest uniform shortfall s >= 0 such that some exchange matrix
     delivers ``b - s`` from ``a``.  Zero iff (a, b) is a member."""
     n = cone.n
-    nv = n * n + 1  # d (row-major) then s
-    # availability: sum_j d[j, i] <= a_i
-    A1 = np.zeros((n, nv))
-    for i in range(n):
-        A1[i, np.arange(n) * n + i] = 1.0
-    # delivery: b_i - sum_j mu[i,j] d[i,j] - s <= 0
-    A2 = np.zeros((n, nv))
-    for i in range(n):
-        A2[i, i * n: (i + 1) * n] = -cone.mu[i]
-        A2[i, -1] = -1.0
-    c = np.zeros(nv)
+    avail, deliver = _exchange_rows(cone.exchange)
+    # variables: d (row-major) then s
+    A_ub = np.block([[avail, np.zeros((n, 1))],
+                     [-deliver, -np.ones((n, 1))]])
+    c = np.zeros(n * n + 1)
     c[-1] = 1.0
-    res = lp_solve(c, A_ub=np.vstack([A1, A2]),
-                   b_ub=np.concatenate([a, -b]))
+    res = lp_solve(c, A_ub=A_ub, b_ub=np.concatenate([a, -b]))
     return max(res.objective, 0.0)
 
 
@@ -223,60 +273,44 @@ def contains(cone: ConeSpec, a, b, tol: float = 1e-9) -> bool:
     return membership_residual(cone, a, b) <= tol
 
 
-def boundary_scale(cone: ConeSpec, a, direction, iters: int = 60) -> float:
+def boundary_scale(cone: ConeSpec, a, direction) -> float:
     """Largest ``t >= 0`` with ``(a, t * direction)`` in the cone.
 
     Free disposal makes the feasible set of ``t`` an interval ``[0, t*]``.
-    Frictionless cones have the closed form ``t* = (R.a) / sum(direction)``;
-    transaction-cost cones are solved by bisection (the returned value is
-    the last point verified to be a member); currency cones solve one
-    linear program maximizing ``t`` directly.
+    With budget rows ``t*`` is exact: the smallest ratio
+    ``w . (R * a) / w . direction`` over the rows with positive load.
+    Otherwise one linear program maximizes ``t`` directly.
     """
     a, d = _check_pair(cone, a, direction)
     if d.sum() <= 0.0:
         raise ValueError("direction must have positive mass")
-    if cone.family == FRICTIONLESS:
-        return float(cone.returns @ a) / float(d.sum())
-    if cone.family == CURRENCY:
+    return _boundary_scale(cone, a, d)
+
+
+def _boundary_scale(cone: ConeSpec, a, d) -> float:
+    """:func:`boundary_scale` without input checks, for inner loops."""
+    rows = cone.budget
+    if rows is None:
         n = cone.n
-        nv = n * n + 1  # d-matrix then t
-        A1 = np.zeros((n, nv))
-        for i in range(n):
-            A1[i, np.arange(n) * n + i] = 1.0
-        A2 = np.zeros((n, nv))
-        for i in range(n):
-            A2[i, i * n: (i + 1) * n] = -cone.mu[i]
-            A2[i, -1] = d[i]
-        c = np.zeros(nv)
+        avail, deliver = _exchange_rows(cone.exchange)
+        # variables: d-matrix (row-major) then t
+        A_ub = np.block([[avail, np.zeros((n, 1))],
+                         [-deliver, d[:, None]]])
+        c = np.zeros(n * n + 1)
         c[-1] = 1.0
         try:
-            res = lp_solve(c, A_ub=np.vstack([A1, A2]),
-                           b_ub=np.concatenate([a, np.zeros(n)]),
+            res = lp_solve(c, A_ub=A_ub, b_ub=np.concatenate([a, np.zeros(n)]),
                            maximize=True)
         except LPUnboundedError:
             return np.inf
         return max(res.objective, 0.0)
-    # proportional_tc: wealth cannot grow past sum(R a), so bracket there.
-    hi = float(cone.returns @ a) / float(d.sum()) * (1.0 + 1e-9) + 1e-12
-    lo = 0.0
-    if _tc_raw_residual(cone, a, hi * d) <= 0.0:
-        return hi
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if _tc_raw_residual(cone, a, mid * d) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    load = rows @ d
+    cap = rows @ (cone.returns * a)
+    live = load > 0.0  # rows without load never bind
+    return float((cap[live] / load[live]).min(initial=np.inf))
 
 
-def _tc_raw_residual(cone: ConeSpec, a, b) -> float:
-    d = b - cone.returns * a
-    return float(np.maximum((1.0 + cone.lambda_plus) * d,
-                            (1.0 - cone.lambda_minus) * d).sum())
-
-
-def max_alpha(cone: ConeSpec, x, iters: int = 60) -> float:
+def max_alpha(cone: ConeSpec, x) -> float:
     """Largest ``alpha`` with ``(x, alpha * x)`` in the cone.
 
     ``x`` must lie on the unit simplex (nonnegative, summing to one).
@@ -289,7 +323,7 @@ def max_alpha(cone: ConeSpec, x, iters: int = 60) -> float:
         raise ValueError(f"expected a vector of length {cone.n}")
     if (x < 0).any() or abs(x.sum() - 1.0) > 1e-9:
         raise ValueError("x must lie on the unit simplex")
-    return boundary_scale(cone, x, x, iters=iters)
+    return boundary_scale(cone, x, x)
 
 
 @dataclass(frozen=True)
@@ -300,8 +334,7 @@ class DualConeRows:
 
         F_c @ c + F_d @ d + F_lift @ lift <= 0   (row-wise).
 
-    Frictionless and currency cones need no lift (``F_lift`` has zero
-    columns).  Transaction-cost cones use ``n + 1`` lift variables.
+    No family needs a lift: ``F_lift`` always has zero columns.
     """
 
     F_c: np.ndarray
@@ -321,54 +354,15 @@ def dual_cone_rows(cone: ConeSpec) -> DualConeRows:
     """Inequality rows characterizing the dual cone.
 
     The dual cone consists of the price pairs ``(c, d)`` with
-    ``d.b <= c.a`` for every member ``(a, b)``; these rows express it as a
-    projection of a polyhedron.  Frictionless: ``c_i >= R_i * d_j`` for
-    all ``i, j``.  Currency: ``mu[i, j] * d_i <= c_j``.  Transaction
-    costs: a lift ``(y, tau)`` with ``d <= y``, ``R * y <= c`` and
-    ``(1 - lm) tau <= y <= (1 + lp) tau``, obtained by LP duality from the
-    buy/sell representation of the cone.
+    ``d.b <= c.a`` for every member ``(a, b)``.  Testing that on the
+    generating rays ``(e_j, G[i, j] e_i)`` gives one row
+    ``G[i, j] * d_i <= c_j`` per pair ``(i, j)``, row index ``i * n + j``.
     """
     n = cone.n
-    if cone.family == FRICTIONLESS:
-        rows = n * n
-        F_c = np.zeros((rows, n))
-        F_d = np.zeros((rows, n))
-        r = 0
-        for i in range(n):
-            for j in range(n):
-                F_c[r, i] = -1.0
-                F_d[r, j] = cone.returns[i]
-                r += 1
-        return DualConeRows(F_c, F_d, np.zeros((rows, 0)))
-    if cone.family == CURRENCY:
-        rows = n * n
-        F_c = np.zeros((rows, n))
-        F_d = np.zeros((rows, n))
-        r = 0
-        for i in range(n):
-            for j in range(n):
-                F_c[r, j] = -1.0
-                F_d[r, i] = cone.mu[i, j]
-                r += 1
-        return DualConeRows(F_c, F_d, np.zeros((rows, 0)))
-    # proportional_tc lift: variables (y_1..y_n, tau)
-    eye = np.eye(n)
-    zn = np.zeros((n, n))
-    col0 = np.zeros((n, 1))
-    blocks = [
-        # d - y <= 0
-        (zn, eye, np.hstack([-eye, col0])),
-        # R*y - c <= 0
-        (-eye, zn, np.hstack([np.diag(cone.returns), col0])),
-        # (1 - lm) tau - y <= 0
-        (zn, zn, np.hstack([-eye, (1.0 - cone.lambda_minus)[:, None]])),
-        # y - (1 + lp) tau <= 0
-        (zn, zn, np.hstack([eye, -(1.0 + cone.lambda_plus)[:, None]])),
-    ]
-    F_c = np.vstack([blk[0] for blk in blocks])
-    F_d = np.vstack([blk[1] for blk in blocks])
-    F_l = np.vstack([blk[2] for blk in blocks])
-    return DualConeRows(F_c, F_d, F_l)
+    F_c = -np.tile(np.eye(n), (n, 1))
+    F_d = np.zeros((n * n, n))
+    F_d[np.arange(n * n), np.repeat(np.arange(n), n)] = cone.exchange.ravel()
+    return DualConeRows(F_c, F_d, np.zeros((n * n, 0)))
 
 
 def dual_violation(cone: ConeSpec, c, d, method: str = "auto") -> float:
@@ -378,11 +372,9 @@ def dual_violation(cone: ConeSpec, c, d, method: str = "auto") -> float:
     pair ``(c, d)`` belongs to the dual cone iff the value is <= 0.
 
     method
-        ``"lp"``      maximize over the slice with the internal simplex
-                      (available for every family),
-        ``"closed"``  evaluate the maximum over the cone's extreme rays
-                      (frictionless and currency only),
-        ``"auto"``    closed form where available, LP otherwise.
+        ``"lp"``      maximize over the slice with the internal simplex,
+        ``"closed"``  evaluate the maximum over the cone's extreme rays,
+        ``"auto"``    the closed form.
     """
     c = np.asarray(c, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -392,66 +384,20 @@ def dual_violation(cone: ConeSpec, c, d, method: str = "auto") -> float:
         raise ValueError("price vectors must be nonnegative")
     if method not in ("auto", "lp", "closed"):
         raise ValueError(f"unknown method: {method!r}")
-    if method == "auto":
-        method = "lp" if cone.family == PROPORTIONAL_TC else "closed"
+    G = cone.exchange
+    if method != "lp":
+        # extreme rays: (e_j, G[i, j] e_i) and the disposal rays (e_j, 0)
+        vals = (G * d[:, None] - c[None, :]) / (1.0 + G)
+        return max(float((-c).max()), float(vals.max()))
 
+    # maximize d.b - c.a over the slice; variables a, b, exchange matrix
     n = cone.n
-    if method == "closed":
-        if cone.family == FRICTIONLESS:
-            # extreme rays: (e_i, R_i e_j) and the disposal rays (e_i, 0)
-            best = float((-c).max())
-            dm = float(d.max())
-            vals = (cone.returns * dm - c) / (1.0 + cone.returns)
-            return max(best, float(vals.max()))
-        if cone.family == CURRENCY:
-            # extreme rays: (e_j, mu[i, j] e_i) and (e_j, 0)
-            best = float((-c).max())
-            vals = (cone.mu * d[:, None] - c[None, :]) / (1.0 + cone.mu)
-            return max(best, float(vals.max()))
-        raise ValueError(
-            "no closed-form dual for family %r; use method='lp'" % cone.family
-        )
-
-    # LP route: maximize d.b - c.a over the cone slice |a| + |b| = 1.
-    if cone.family == FRICTIONLESS:
-        nv = 2 * n  # a, b
-        obj = np.concatenate([-c, d])
-        A_ub = np.concatenate([-cone.returns, np.ones(n)])[None, :]
-        b_ub = np.zeros(1)
-        A_eq = np.ones((1, nv))
-        b_eq = np.ones(1)
-    elif cone.family == PROPORTIONAL_TC:
-        nv = 4 * n  # a, b, buys, sells
-        obj = np.concatenate([-c, d, np.zeros(2 * n)])
-        eye = np.eye(n)
-        # b - R*a - buys + sells = 0
-        A_eq = np.hstack([-np.diag(cone.returns), eye, -eye, eye])
-        b_eq = np.zeros(n)
-        A_eq = np.vstack([A_eq,
-                          np.concatenate([np.ones(2 * n), np.zeros(2 * n)])])
-        b_eq = np.append(b_eq, 1.0)
-        A_ub = np.concatenate([np.zeros(2 * n), 1.0 + cone.lambda_plus,
-                               -(1.0 - cone.lambda_minus)])[None, :]
-        b_ub = np.zeros(1)
-    else:  # currency
-        nv = 2 * n + n * n  # a, b, exchange matrix d (row-major)
-        obj = np.concatenate([-c, d, np.zeros(n * n)])
-        rows = []
-        for i in range(n):
-            row = np.zeros(nv)
-            row[i] = -1.0
-            row[2 * n + np.arange(n) * n + i] = 1.0
-            rows.append(row)  # sum_j x[j, i] <= a_i
-        for i in range(n):
-            row = np.zeros(nv)
-            row[n + i] = 1.0
-            row[2 * n + i * n: 2 * n + (i + 1) * n] = -cone.mu[i]
-            rows.append(row)  # b_i <= sum_j mu[i, j] x[i, j]
-        A_ub = np.array(rows)
-        b_ub = np.zeros(2 * n)
-        A_eq = np.concatenate([np.ones(2 * n), np.zeros(n * n)])[None, :]
-        b_eq = np.ones(1)
-    res = lp_solve(obj, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+    avail, deliver = _exchange_rows(G)
+    eye, zero = np.eye(n), np.zeros((n, n))
+    A_ub = np.block([[-eye, zero, avail], [zero, eye, -deliver]])
+    A_eq = np.concatenate([np.ones(2 * n), np.zeros(n * n)])[None, :]
+    res = lp_solve(np.concatenate([-c, d, np.zeros(n * n)]), A_ub=A_ub,
+                   b_ub=np.zeros(2 * n), A_eq=A_eq, b_eq=np.ones(1),
                    maximize=True)
     return float(res.objective)
 
@@ -474,9 +420,7 @@ def liquidation_value(cone: ConeSpec, b) -> float:
         raise ValueError(f"expected a vector of length {cone.n}")
     if (b < 0).any():
         raise ValueError("portfolio must be nonnegative")
-    if cone.family == PROPORTIONAL_TC:
-        return float((1.0 - cone.lambda_minus) @ b)
-    return float(b.sum())
+    return float(cone.sell_rates @ b)
 
 
 def wealth_weights(cone: ConeSpec, objective: str = "wealth") -> np.ndarray:
@@ -484,9 +428,7 @@ def wealth_weights(cone: ConeSpec, objective: str = "wealth") -> np.ndarray:
     if objective == "wealth":
         return np.ones(cone.n)
     if objective == "liquidation":
-        if cone.family == PROPORTIONAL_TC:
-            return 1.0 - cone.lambda_minus
-        return np.ones(cone.n)
+        return np.array(cone.sell_rates)
     raise ValueError(f"unknown objective: {objective!r}")
 
 
@@ -496,7 +438,7 @@ def sample_member(cone: ConeSpec, rng: np.random.Generator,
     target direction scaled to the boundary, then pulled inside."""
     a = rng.exponential(scale=scale, size=cone.n) + 1e-9
     w = rng.dirichlet(np.ones(cone.n))
-    t = boundary_scale(cone, a, w)
+    t = _boundary_scale(cone, a, w)
     return a, float(rng.uniform(0.0, 1.0)) * t * w
 
 
@@ -579,11 +521,11 @@ def _uniform_bound(cone: ConeSpec) -> float:
     return float(cone.n * cone.mu.max())
 
 
-def _unit_growth(cone: ConeSpec, i: int, iters: int = 60) -> float:
+def _unit_growth(cone: ConeSpec, i: int) -> float:
     """Largest gamma with (e_i, gamma * ones) in the cone."""
     e = np.zeros(cone.n)
     e[i] = 1.0
-    return boundary_scale(cone, e, np.ones(cone.n), iters=iters)
+    return boundary_scale(cone, e, np.ones(cone.n))
 
 
 @dataclass
@@ -635,10 +577,10 @@ def validate_assumptions(cone_table, samples: int = 200, seed: int = 0,
                          tol: float = 1e-9) -> ValidationReport:
     """Check the standing assumptions on every cone in the table.
 
-    Closed-form checks where available (uniform bound, unit growth by
-    bisection), randomized spot checks elsewhere (free disposal and the
-    bound verified on ``samples`` random members per cone).  Returns a
-    report; callers decide whether a failed report is fatal.
+    Closed-form checks where available (uniform bound, unit growth),
+    randomized spot checks elsewhere (free disposal and the bound
+    verified on ``samples`` random members per cone).  Returns a report;
+    callers decide whether a failed report is fatal.
     """
     items = _as_cone_items(cone_table)
     rng = np.random.default_rng(seed)

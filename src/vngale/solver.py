@@ -1,23 +1,26 @@
 """Log-optimal plans on scenario trees and stationary balanced strategies.
 
 The tree solver maximizes expected terminal log value over self-financing
-plans.  Every cone family used here admits a finite list of linear
-inequality rows per tree edge (transaction-cost cones via one row per
-buy/sell sign pattern, currency cones via an exchange-matrix lift), so
-the feasible set is polyhedral and the program is concave with a
-tree-structured Hessian.  It is solved by a log-barrier interior-point
-method whose Newton systems are eliminated leaf-to-root: each node's
-block couples only its parent, giving linear-time steps in the node
-count.  Barrier iterates are strictly feasible, so the returned plan is
-exactly self-financing.
+plans.  Every tree edge gets linear inequality rows from its cone: the
+cone's budget rows when it has them (``w . b <= w . (R * a)``), otherwise
+availability and delivery rows over an ``n * n`` exchange-matrix lift
+built from the exchange matrix ``G``.  The feasible set is polyhedral and
+the program is concave with a tree-structured Hessian.  It is solved by a
+log-barrier interior-point method whose Newton systems are eliminated
+leaf-to-root, one depth at a time in batches: each node's block couples
+only its parent.  Every node carries the same number of variables, its
+portfolio plus the widest lift in the tree; a lift-free node gets an
+identity lift block and a zero gradient, so its lift step is exactly 0.
+Steps are linear-time in the node count.  Barrier iterates are strictly
+feasible, so the returned plan is exactly self-financing.
 
 Dual prices are recovered afterwards by a feasibility linear program:
 minimize the single largest violation of the support conditions
 (price times predecessor portfolio equal to one) and of the dual-cone
-conditions across the tree.  The optimal slack is reported as
-``kkt_residual``; zero certifies the plan globally optimal, since any
-exactly-supporting dual makes every competitor's deflated wealth a
-supermartingale.
+rows ``G[i, j] d_i <= c_j`` across the tree.  The optimal slack is
+reported as ``kkt_residual``; zero certifies the plan globally optimal,
+since any exactly-supporting dual makes every competitor's deflated
+wealth a supermartingale.
 
 The stationary solver searches over per-state simplex proportions with a
 seeded multistart pattern search, growth factors being recovered per
@@ -28,7 +31,6 @@ feasibility program.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +38,9 @@ import numpy as np
 from .cones import (
     CURRENCY,
     FRICTIONLESS,
-    PROPORTIONAL_TC,
     ConeSpec,
+    _boundary_scale,
+    _exchange_rows,
     boundary_scale,
     dual_cone_rows,
     validate_assumptions,
@@ -127,34 +130,18 @@ class EquilibriumResult:
 
 
 def _edge_matrices(cone: ConeSpec):
-    """Linear rows Fa.a + Fb.b + FD.d <= 0 describing cone membership.
+    """Linear rows ``Fa.a + Fv.(b, lift) <= 0`` describing cone membership.
 
-    ``d`` is the flattened exchange matrix for currency cones (FD is None
-    otherwise).  All rows are homogeneous.
+    ``Fv`` covers the node's portfolio ``b`` and, for cones without budget
+    rows, the flattened exchange-matrix lift.  All rows are homogeneous.
     """
+    if cone.budget is not None:
+        return -cone.budget * cone.returns, cone.budget
     n = cone.n
-    if cone.family == FRICTIONLESS:
-        return -cone.returns[None, :], np.ones((1, n)), None
-    if cone.family == PROPORTIONAL_TC:
-        rows = []
-        for pattern in itertools.product((0, 1), repeat=n):
-            c = np.where(pattern, 1.0 + cone.lambda_plus,
-                         1.0 - cone.lambda_minus)
-            rows.append(c)
-        Fb = np.array(rows)
-        Fa = -Fb * cone.returns[None, :]
-        return Fa, Fb, None
-    # currency: availability then delivery rows over the n*n lift
-    Fa = np.zeros((2 * n, n))
-    Fb = np.zeros((2 * n, n))
-    FD = np.zeros((2 * n, n * n))
-    for i in range(n):
-        Fa[i, i] = -1.0
-        FD[i, np.arange(n) * n + i] = 1.0  # sum_j d[j, i] <= a_i
-    for i in range(n):
-        Fb[n + i, i] = 1.0
-        FD[n + i, i * n: (i + 1) * n] = -cone.mu[i]
-    return Fa, Fb, FD
+    avail, deliver = _exchange_rows(cone.exchange)
+    eye, zero = np.eye(n), np.zeros((n, n))
+    return (np.vstack([-eye, zero]),
+            np.block([[zero, avail], [eye, -deliver]]))
 
 
 class _EdgeGroup:
@@ -164,17 +151,13 @@ class _EdgeGroup:
         self.cone = cone
         self.nodes = np.asarray(nodes, dtype=int)
         self.parents = np.asarray(parents, dtype=int)
-        self.Fa, self.Fb, self.FD = _edge_matrices(cone)
+        self.Fa, self.Fv = _edge_matrices(cone)
         self.n = cone.n
-        self.nlift = 0 if self.FD is None else cone.n * cone.n
+        self.k = self.Fv.shape[1]  # node variables the rows touch
 
-    def residual_rows(self, X, D):
-        A = X[self.parents]
-        B = X[self.nodes]
-        r = A @ self.Fa.T + B @ self.Fb.T
-        if self.FD is not None:
-            r = r + np.stack([D[v] for v in self.nodes]) @ self.FD.T
-        return r
+    def residual_rows(self, Y):
+        return (Y[self.parents, :self.n] @ self.Fa.T
+                + Y[self.nodes, :self.k] @ self.Fv.T)
 
 
 def _edge_groups(tree: ScenarioTree, cone_table):
@@ -188,36 +171,30 @@ def _edge_groups(tree: ScenarioTree, cone_table):
             for cone, nodes, parents in by_cone.values()]
 
 
-def _interior_start(tree, cone_table, x0, n):
-    """Strictly feasible plan: roll half the boundary scale toward the
-    all-ones direction at every edge; currency lifts spread positive
-    mass over all exchange entries."""
-    X = np.zeros((tree.n_nodes, n))
-    X[0] = x0
-    D = {}
+def _interior_start(tree, cone_table, x0, m):
+    """Strictly feasible state ``(x, lift)`` per node: roll half the
+    boundary scale toward the all-ones direction at every edge; exchange
+    lifts spread positive mass over all entries, and lift-free nodes keep
+    lift entries of 1."""
+    n = x0.size
+    Y = np.ones((tree.n_nodes, m))
+    Y[0, :n] = x0
     ones = np.ones(n)
     for v in range(1, tree.n_nodes):
         cone = cone_table.resolve(*tree.transition_label(v))
-        a = X[tree.parent[v]]
-        if cone.family == CURRENCY:
-            d = np.zeros((n, n))
-            for j in range(n):
-                d[:, j] = 0.3 * a[j] / max(n - 1, 1)
-                d[j, j] = 0.5 * a[j]
-            deliver = (cone.mu * d).sum(axis=1)
-            t = 0.4 * deliver.min()
-            if t <= 0:
-                raise SolverError("cannot construct interior start "
-                                  f"(zero deliverable mass at node {v})")
-            X[v] = t * ones
-            D[v] = d.ravel()
+        a = Y[tree.parent[v], :n]
+        if cone.budget is None:
+            d = np.tile(0.3 * a / max(n - 1, 1), (n, 1))
+            np.fill_diagonal(d, 0.5 * a)
+            t = 0.4 * (cone.exchange * d).sum(axis=1).min()
+            Y[v, n:] = d.ravel()
         else:
             t = 0.5 * boundary_scale(cone, a, ones)
-            if t <= 0:
-                raise SolverError("cannot construct interior start "
-                                  f"(zero growth at node {v})")
-            X[v] = t * ones
-    return X, D
+        if t <= 0:
+            raise SolverError("cannot construct interior start "
+                              f"(zero growth at node {v})")
+        Y[v, :n] = t * ones
+    return Y
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +202,16 @@ def _interior_start(tree, cone_table, x0, n):
 
 
 class _TreeProgram:
+    """Barrier program over the node states ``Y = (x, lift)``."""
+
     def __init__(self, tree, cone_table, x0, objective):
         self.tree = tree
         self.n = cone_table.n
         self.groups = _edge_groups(tree, cone_table)
+        self.m = max(g.k for g in self.groups)
+        self.lift_free = np.ones(tree.n_nodes, dtype=bool)
+        for g in self.groups:
+            self.lift_free[g.nodes] = g.k == self.n
         self.leaves = tree.leaves()
         self.leaf_prob = tree.abs_prob[self.leaves]
         W = np.zeros((self.leaves.size, self.n))
@@ -236,7 +219,6 @@ class _TreeProgram:
             cone = cone_table.resolve(*tree.transition_label(int(v)))
             W[i] = wealth_weights(cone, objective)
         self.leaf_w = W
-        self.has_lift = any(g.nlift for g in self.groups)
 
     def objective_value(self, X):
         vals = (self.leaf_w * X[self.leaves]).sum(axis=1)
@@ -244,223 +226,128 @@ class _TreeProgram:
             raise SolverError("terminal wealth collapsed to zero")
         return float(self.leaf_prob @ np.log(vals))
 
-    def phi(self, X, D, mu):
-        """Barrier objective (to minimize); +inf outside the interior."""
-        vals = (self.leaf_w * X[self.leaves]).sum(axis=1)
+    def phi(self, Y, mu):
+        """Barrier objective (to minimize); +inf outside the interior.
+        Lift entries of lift-free nodes stay at 1 and add nothing."""
+        vals = (self.leaf_w * Y[self.leaves, :self.n]).sum(axis=1)
         if (vals <= _WEALTH_FLOOR).any():
             return np.inf
         total = -float(self.leaf_prob @ np.log(vals))
-        if (X[1:] <= 0.0).any():
+        if (Y[1:] <= 0.0).any():
             return np.inf
-        total -= mu * float(np.log(X[1:]).sum())
+        total -= mu * float(np.log(Y[1:]).sum())
         for g in self.groups:
-            r = g.residual_rows(X, D)
+            r = g.residual_rows(Y)
             if (r >= 0.0).any():
                 return np.inf
             total -= mu * float(np.log(-r).sum())
-            if g.nlift:
-                Dm = np.stack([D[v] for v in g.nodes])
-                if (Dm <= 0.0).any():
-                    return np.inf
-                total -= mu * float(np.log(Dm).sum())
         return total
 
-    def newton_step(self, X, D, mu):
+    def newton_step(self, Y, mu):
         """One damped Newton step on the barrier; returns the updated
-        (X, D), the Newton decrement, and the step size taken."""
-        tree, n = self.tree, self.n
-        N = tree.n_nodes
-        dims = np.full(N, n, dtype=int)
-        GX = np.zeros((N, n))
-        HX = np.zeros((N, n, n))
-        CP = np.zeros((N, n, n))  # rows: own x, cols: parent x
-        GD, HDD, HXD, CPD = {}, {}, {}, {}
+        state and the Newton decrement."""
+        n, m = self.n, self.m
+        N = Y.shape[0]
+        G = np.zeros((N, m))
+        H = np.zeros((N, m, m))
+        CP = np.zeros((N, m, n))  # rows: own variables, cols: parent x
 
-        # coordinate barriers on portfolios
-        GX[1:] -= mu / X[1:]
-        idx = np.arange(n)
-        HX[1:, idx, idx] += mu / X[1:] ** 2
+        # coordinate barriers; lift-free nodes get an identity lift block
+        idx = np.arange(m)
+        G[1:] -= mu / Y[1:]
+        H[1:, idx, idx] += mu / Y[1:] ** 2
+        G[self.lift_free, n:] = 0.0
+        H[self.lift_free, n:, n:] = np.eye(m - n)
 
         # terminal objective
-        vals = (self.leaf_w * X[self.leaves]).sum(axis=1)
-        GX[self.leaves] += (-self.leaf_prob / vals)[:, None] * self.leaf_w
-        HX[self.leaves] += (self.leaf_prob / vals ** 2)[:, None, None] * \
-            np.einsum("li,lj->lij", self.leaf_w, self.leaf_w)
+        vals = (self.leaf_w * Y[self.leaves, :n]).sum(axis=1)
+        G[self.leaves, :n] += (-self.leaf_prob / vals)[:, None] * self.leaf_w
+        H[self.leaves, :n, :n] += (self.leaf_prob / vals ** 2)[:, None, None] \
+            * np.einsum("li,lj->lij", self.leaf_w, self.leaf_w)
 
         for g in self.groups:
-            r = g.residual_rows(X, D)
-            u = 1.0 / (-r)  # positive
+            u = 1.0 / (-g.residual_rows(Y))  # positive
             w = mu * u ** 2
-            Fa, Fb, FD = g.Fa, g.Fb, g.FD
-            np.add.at(GX, g.parents, mu * (u @ Fa))
-            np.add.at(GX, g.nodes, mu * (u @ Fb))
-            np.add.at(HX, g.parents, np.einsum("gr,ri,rj->gij", w, Fa, Fa))
-            np.add.at(HX, g.nodes, np.einsum("gr,ri,rj->gij", w, Fb, Fb))
-            np.add.at(CP, g.nodes, np.einsum("gr,ri,rj->gij", w, Fb, Fa))
-            if g.nlift:
-                dims[g.nodes] = n + g.nlift
-                HxD = np.einsum("gr,ri,rj->gij", w, Fb, FD)
-                HdD = np.einsum("gr,ri,rj->gij", w, FD, FD)
-                CpD = np.einsum("gr,ri,rj->gij", w, FD, Fa)
-                gD = mu * (u @ FD)
-                for i, v in enumerate(g.nodes):
-                    Dv = D[v]
-                    GD[v] = gD[i] - mu / Dv
-                    HDD[v] = HdD[i] + np.diag(mu / Dv ** 2)
-                    HXD[v] = HxD[i]
-                    CPD[v] = CpD[i]
+            Fa, Fv, k = g.Fa, g.Fv, g.k
+            np.add.at(G[:, :n], g.parents, mu * (u @ Fa))
+            np.add.at(H[:, :n, :n], g.parents,
+                      np.einsum("gr,ri,rj->gij", w, Fa, Fa))
+            G[g.nodes, :k] += mu * (u @ Fv)
+            H[g.nodes, :k, :k] += np.einsum("gr,ri,rj->gij", w, Fv, Fv)
+            CP[g.nodes, :k] = np.einsum("gr,ri,rj->gij", w, Fv, Fa)
 
-        if self.has_lift:
-            dX, dD, decrement = self._solve_kkt_by_node(
-                GX, HX, CP, GD, HDD, HXD, CPD, dims)
-        else:
-            dX, decrement = self._solve_kkt_by_depth(GX, HX, CP)
-            dD = {}
+        dY, decrement = self._solve_kkt_by_depth(G, H, CP)
         if decrement <= 0:
-            return X, D, 0.0, 0.0
+            return Y, 0.0
 
         # fraction to the boundary
         t_max = 1.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            neg = dX[1:] < 0
+            neg = dY[1:] < 0
             if neg.any():
-                t_max = min(t_max, float((-X[1:][neg] / dX[1:][neg]).min()))
+                t_max = min(t_max, float((-Y[1:][neg] / dY[1:][neg]).min()))
             for g in self.groups:
-                r = g.residual_rows(X, D)
-                dA = dX[g.parents]
-                dB = dX[g.nodes]
-                dr = dA @ g.Fa.T + dB @ g.Fb.T
-                if g.nlift:
-                    dr = dr + np.stack([dD[v] for v in g.nodes]) @ g.FD.T
-                    for v in g.nodes:
-                        negd = dD[v] < 0
-                        if negd.any():
-                            t_max = min(t_max, float(
-                                (-D[v][negd] / dD[v][negd]).min()))
+                dr = g.residual_rows(dY)
                 grow = dr > 0
                 if grow.any():
+                    r = g.residual_rows(Y)
                     t_max = min(t_max, float((-r[grow] / dr[grow]).min()))
         t = min(1.0, 0.99 * t_max)
 
         # Armijo backtracking on the barrier objective
-        base = self.phi(X, D, mu)
+        base = self.phi(Y, mu)
         slope = -decrement
         for _ in range(60):
-            Xn = X + t * dX
-            Dn = {v: D[v] + t * dD.get(v, 0.0) for v in D}
-            if self.phi(Xn, Dn, mu) <= base + 0.25 * t * slope:
-                return Xn, Dn, decrement, t
+            Yn = Y + t * dY
+            if self.phi(Yn, mu) <= base + 0.25 * t * slope:
+                return Yn, decrement
             t *= 0.5
         raise SolverError("line search failed to make progress")
 
-    def _solve_kkt_by_depth(self, GX, HX, CP):
+    def _solve_kkt_by_depth(self, G, H, CP):
         """Tree-structured Newton solve, batched one depth at a time.
 
-        Each node's Hessian block couples only to its parent, so
-        eliminating whole generations leaf-to-root factors the system
-        in O(depth) batched dense solves.  Lift-free cones only.
+        Each node's Hessian block couples only to its parent's
+        portfolio, so eliminating whole generations leaf-to-root factors
+        the system in O(depth) batched dense solves.
         """
         tree, n = self.tree, self.n
-        N = tree.n_nodes
-        idx = np.arange(n)
+        N, m = G.shape
+        idx = np.arange(m)
         # relative ridge: value-flat directions (a leaf cares only
         # about total wealth) otherwise drive the block singular as
         # the barrier weight vanishes
-        diag_max = np.maximum(HX[1:, idx, idx].max(axis=1), 1.0)
-        HX[1:, idx, idx] += 1e-14 * diag_max[:, None]
-        g0 = GX.copy()
+        diag_max = np.maximum(H[1:, idx, idx].max(axis=1), 1.0)
+        H[1:, idx, idx] += 1e-14 * diag_max[:, None]
+        g0 = G.copy()
 
-        GV = np.zeros((N, n))
-        KK = np.zeros((N, n, n))
+        GV = np.zeros((N, m))
+        KK = np.zeros((N, m, n))
         parent = tree.parent
         for d in range(tree.horizon, 0, -1):
             vs = tree.nodes_at_depth(d)
             try:
                 sol = np.linalg.solve(
-                    HX[vs], np.concatenate([GX[vs][:, :, None], CP[vs]],
-                                           axis=2))
+                    H[vs], np.concatenate([G[vs][:, :, None], CP[vs]],
+                                          axis=2))
             except np.linalg.LinAlgError:
                 raise SolverError("singular Newton system at depth "
                                   f"{d}") from None
             GV[vs] = sol[:, :, 0]
             KK[vs] = sol[:, :, 1:]
             if d > 1:
-                np.add.at(HX, parent[vs],
+                np.add.at(H[:, :n, :n], parent[vs],
                           -np.einsum("vrc,vrk->vck", CP[vs], KK[vs]))
-                np.add.at(GX, parent[vs],
+                np.add.at(G[:, :n], parent[vs],
                           -np.einsum("vrc,vr->vc", CP[vs], GV[vs]))
 
-        delta = np.zeros((N, n))
+        delta = np.zeros((N, m))
         for d in range(1, tree.horizon + 1):
             vs = tree.nodes_at_depth(d)
             delta[vs] = -(GV[vs] + np.einsum("vrc,vc->vr", KK[vs],
-                                             delta[parent[vs]]))
+                                             delta[parent[vs], :n]))
         decrement = -float(np.einsum("vi,vi->", g0[1:], delta[1:]))
         return delta, decrement
-
-    def _solve_kkt_by_node(self, GX, HX, CP, GD, HDD, HXD, CPD, dims):
-        """Per-node elimination for trees whose cones carry lift
-        variables, where block sizes vary node to node."""
-        tree, n = self.tree, self.n
-        N = tree.n_nodes
-        Hd = [None] * N
-        g_vec = [None] * N
-        Cp = [None] * N
-        for v in range(1, N):
-            if dims[v] == n:
-                Hd[v] = HX[v].copy()
-                g_vec[v] = GX[v].copy()
-                Cp[v] = CP[v]
-            else:
-                m = dims[v]
-                blk = np.zeros((m, m))
-                blk[:n, :n] = HX[v]
-                blk[:n, n:] = HXD[v]
-                blk[n:, :n] = HXD[v].T
-                blk[n:, n:] = HDD[v]
-                Hd[v] = blk
-                g_vec[v] = np.concatenate([GX[v], GD[v]])
-                cp = np.zeros((m, n))
-                cp[:n] = CP[v]
-                cp[n:] = CPD[v]
-                Cp[v] = cp
-            m = dims[v]
-            ridge = 1e-14 * max(float(Hd[v].diagonal().max()), 1.0)
-            Hd[v][np.arange(m), np.arange(m)] += ridge
-        g0 = [None if gv is None else gv.copy() for gv in g_vec]
-
-        parent = tree.parent
-        for v in range(N - 1, 0, -1):
-            u_ = parent[v]
-            if u_ >= 1:
-                try:
-                    piv = np.linalg.solve(Hd[v],
-                                          np.hstack([g_vec[v][:, None],
-                                                     Cp[v]]))
-                except np.linalg.LinAlgError:
-                    raise SolverError("singular Newton system "
-                                      f"at node {v}") from None
-                Hd[u_][:n, :n] -= Cp[v].T @ piv[:, 1:]
-                g_vec[u_][:n] -= Cp[v].T @ piv[:, 0]
-
-        delta = [None] * N
-        for v in range(1, N):
-            u_ = parent[v]
-            rhs = g_vec[v].copy()
-            if u_ >= 1:
-                rhs = rhs + Cp[v] @ delta[u_][:n]
-            try:
-                delta[v] = -np.linalg.solve(Hd[v], rhs)
-            except np.linalg.LinAlgError:
-                raise SolverError(f"singular Newton system at node {v}") \
-                    from None
-
-        decrement = -sum(float(g0[v] @ delta[v]) for v in range(1, N))
-        dX = np.zeros((N, n))
-        for v in range(1, N):
-            dX[v] = delta[v][:n]
-        dD = {v: delta[v][n:] for v in range(1, N) if dims[v] > n}
-        return dX, dD, decrement
 
 
 def solve_tree_log_optimal(tree: ScenarioTree, cone_table, x0,
@@ -494,14 +381,14 @@ def solve_tree_log_optimal(tree: ScenarioTree, cone_table, x0,
         )
 
     prog = _TreeProgram(tree, cone_table, x0, objective)
-    X, D = _interior_start(tree, cone_table, x0, n)
+    Y = _interior_start(tree, cone_table, x0, prog.m)
 
     iterations = 0
     mu = 1.0
     while True:
         stage_tol = max(1e-13, 1e-3 * mu)
         for _ in range(40):
-            X, D, dec, _t = prog.newton_step(X, D, mu)
+            Y, dec = prog.newton_step(Y, mu)
             iterations += 1
             if dec / 2.0 <= stage_tol:
                 break
@@ -509,20 +396,16 @@ def solve_tree_log_optimal(tree: ScenarioTree, cone_table, x0,
             break
         mu = max(mu * 0.1, mu_final * (1.0 - 1e-12))
 
+    X = Y[:, :n]
     plan = ContingentPlan(tree, X, units=(
         "physical" if any(g.cone.family == CURRENCY for g in prog.groups)
         else "market"))
     value = prog.objective_value(X)
 
     # feasibility audit: barrier iterates must be strictly inside
-    bad = []
-    for g in prog.groups:
-        r = g.residual_rows(X, D)
-        worst = float(r.max())
-        if worst > 1e-8:
-            bad.append(worst)
-    if bad:
-        raise SolverError(f"plan left the feasible set: residual {max(bad)}")
+    worst = max(float(g.residual_rows(Y).max()) for g in prog.groups)
+    if worst > 1e-8:
+        raise SolverError(f"plan left the feasible set: residual {worst}")
 
     if not extract_dual:
         return TreeSolveResult(plan, None, value, float("nan"), iterations)
@@ -534,12 +417,11 @@ def solve_tree_log_optimal(tree: ScenarioTree, cone_table, x0,
 def _extract_tree_dual(tree, cone_table, X, prog):
     """Price system minimizing the largest certificate violation.
 
-    Variables: one price vector per node of depth >= 1, auxiliary lift
-    variables where the dual cone needs them, and a single uniform slack
-    bounding (i) deviations of price-times-predecessor-portfolio from 1
-    and (ii) dual-cone row violations.  The terminal layer is pinned to
-    the terminal objective gradient w / (w . x_T), which is the exact
-    price of wealth one step past the horizon.
+    Variables: one price vector per node of depth >= 1 and a single
+    uniform slack bounding (i) deviations of price-times-predecessor-
+    portfolio from 1 and (ii) dual-cone row violations.  The terminal
+    layer is pinned to the terminal objective gradient w / (w . x_T),
+    which is the exact price of wealth one step past the horizon.
     """
     n = prog.n
     N = tree.n_nodes
@@ -552,68 +434,42 @@ def _extract_tree_dual(tree, cone_table, X, prog):
         w = prog.leaf_w[i]
         term[i] = w / (w @ X[leaves[i]])
 
-    rows_cache = {}
-    offs = np.zeros(N, dtype=int)
-    pos = 0
-    lift_offs = {}
-    for v in range(1, N):
-        offs[v] = pos
-        pos += n
-    for v in range(1, N):
-        cone = cone_table.resolve(*tree.transition_label(v))
-        dr = rows_cache.setdefault(id(cone), dual_cone_rows(cone))
-        if dr.n_lift:
-            lift_offs[v] = pos
-            pos += dr.n_lift
-    slack = pos
-    nv = pos + 1
+    slack = (N - 1) * n  # node v's prices start at (v - 1) * n
+    nv = slack + 1
 
     A_rows, b_rows = [], []
     for v in range(1, N):
-        a = X[tree.parent[v]]
-        row = np.zeros(nv)
-        row[offs[v]: offs[v] + n] = a
-        row[slack] = -1.0
-        A_rows.append(row)
-        b_rows.append(1.0)
-        row = np.zeros(nv)
-        row[offs[v]: offs[v] + n] = -a
-        row[slack] = -1.0
-        A_rows.append(row)
-        b_rows.append(-1.0)
+        block = np.zeros((2, nv))
+        block[0, (v - 1) * n: v * n] = X[tree.parent[v]]
+        block[1, (v - 1) * n: v * n] = -X[tree.parent[v]]
+        block[:, slack] = -1.0
+        A_rows.append(block)
+        b_rows.append([1.0, -1.0])
 
     for v in range(1, N):
-        cone = cone_table.resolve(*tree.transition_label(v))
-        dr = rows_cache[id(cone)]
-        is_leaf = tree.depth[v] == tree.horizon
-        kids = None if is_leaf else tree.children(v)
-        for k in range(dr.n_rows):
-            row = np.zeros(nv)
-            row[offs[v]: offs[v] + n] += dr.F_c[k]
-            rhs = 0.0
-            if is_leaf:
-                rhs = -float(dr.F_d[k] @ term[v - leaf0])
-            else:
-                for c in kids:
-                    row[offs[c]: offs[c] + n] += (tree.cond_prob[c]
-                                                  * dr.F_d[k])
-            if dr.n_lift:
-                lo = lift_offs[v]
-                row[lo: lo + dr.n_lift] += dr.F_lift[k]
-            row[slack] -= 1.0
-            A_rows.append(row)
-            b_rows.append(rhs)
+        dr = dual_cone_rows(cone_table.resolve(*tree.transition_label(v)))
+        block = np.zeros((dr.n_rows, nv))
+        block[:, (v - 1) * n: v * n] = dr.F_c
+        block[:, slack] = -1.0
+        if tree.depth[v] == tree.horizon:
+            rhs = -(dr.F_d @ term[v - leaf0])
+        else:
+            rhs = np.zeros(dr.n_rows)
+            for c in tree.children(v):
+                block[:, (c - 1) * n: c * n] += tree.cond_prob[c] * dr.F_d
+        A_rows.append(block)
+        b_rows.append(rhs)
 
     c = np.zeros(nv)
     c[slack] = 1.0
     try:
-        res = lp_solve(c, A_ub=np.array(A_rows), b_ub=np.array(b_rows))
+        res = lp_solve(c, A_ub=np.vstack(A_rows),
+                       b_ub=np.concatenate(b_rows))
     except LPError as exc:
         raise SolverError(f"dual extraction failed: {exc}") from exc
 
     prices = np.zeros((N, n))
-    for v in range(1, N):
-        prices[v] = res.x[offs[v]: offs[v] + n]
+    prices[1:] = res.x[:slack].reshape(N - 1, n)
     dual = DualPlan(tree, prices, term)
     return dual, float(max(res.objective, 0.0))
 
@@ -628,47 +484,25 @@ def _transition_pairs(spec: MarkovSpec):
 
 
 class _StationaryProgram:
-    """Stationary growth objective with transition cones resolved once.
+    """Stationary growth objective with transition cones resolved once."""
 
-    For frictionless and transaction-cost cones the boundary scale is an
-    exact row ratio minimum (their membership rows are Fa.a + Fb.b <= 0
-    with Fb nonnegative), so the hot path avoids bisection entirely;
-    currency cones fall back to the LP-based boundary scale.
-    """
-
-    def __init__(self, spec, cone_table, pi):
-        self.k = spec.k
-        self.pi = pi
-        self.edges = []
-        for v in range(spec.k):
-            preds = []
-            for u in np.flatnonzero(spec.P[:, v] > 0.0):
-                cone = cone_table.resolve(spec.states[u], spec.states[v])
-                if cone.family == CURRENCY:
-                    preds.append((int(u), cone, None, None))
-                else:
-                    Fa, Fb, _ = _edge_matrices(cone)
-                    preds.append((int(u), cone, Fa, Fb))
-            self.edges.append((v, preds))
+    def __init__(self, spec, cone_table):
+        self.pi = spec.stationary_distribution()
+        self.preds = [
+            [(int(u), cone_table.resolve(spec.states[u], spec.states[v]))
+             for u in np.flatnonzero(spec.P[:, v] > 0.0)]
+            for v in range(spec.k)
+        ]
 
     def growth_factors(self, xs):
-        """alpha[v]: largest scale of x(v) reachable from all predecessors."""
-        alpha = np.ones(self.k)
-        for v, preds in self.edges:
-            if not preds:
-                continue
-            best = np.inf
-            for u, cone, Fa, Fb in preds:
-                if Fa is None:
-                    best = min(best, boundary_scale(cone, xs[u], xs[v]))
-                    continue
-                cap = -(Fa @ xs[u])
-                load = Fb @ xs[v]
-                live = load > 1e-300
-                if not live.any():
-                    continue
-                best = min(best, float((cap[live] / load[live]).min()))
-            alpha[v] = 0.0 if best < 0 else (1.0 if best == np.inf else best)
+        """alpha[v]: largest scale of x(v) reachable from every
+        positive-probability predecessor's proportions (1 without any)."""
+        alpha = np.ones(len(self.preds))
+        for v, preds in enumerate(self.preds):
+            best = min((_boundary_scale(cone, xs[u], xs[v])
+                        for u, cone in preds), default=np.inf)
+            if best < np.inf:
+                alpha[v] = best
         return alpha
 
     def value(self, xs):
@@ -676,7 +510,7 @@ class _StationaryProgram:
         mask = self.pi > 0
         if (alpha[mask] <= 0.0).any():
             return -np.inf, alpha
-        logs = np.zeros(self.k)
+        logs = np.zeros(len(alpha))
         logs[mask] = np.log(alpha[mask])
         return float(self.pi @ logs), alpha
 
@@ -741,9 +575,9 @@ def solve_stationary_equilibrium(spec: MarkovSpec, cone_table,
             f"{report.gamma:.3e}); equilibrium solve aborted"
         )
     k, n = spec.k, cone_table.n
-    pi = spec.stationary_distribution()
+    prog = _StationaryProgram(spec, cone_table)
+    pi = prog.pi
     rng = np.random.default_rng(seed)
-    prog = _StationaryProgram(spec, cone_table, pi)
 
     best = (-np.inf, None)
     for s_idx in range(max(starts, 1)):
@@ -800,17 +634,8 @@ def extract_equilibrium_prices(strategy: BalancedStrategy,
     n = xs.shape[1]
 
     pairs = _transition_pairs(spec)
-    rows_cache = {}
-    pos = k * n
-    lift_offs = {}
-    for (u, v) in pairs:
-        cone = cone_table.resolve(spec.states[u], spec.states[v])
-        dr = rows_cache.setdefault(id(cone), dual_cone_rows(cone))
-        if dr.n_lift:
-            lift_offs[(u, v)] = pos
-            pos += dr.n_lift
-    slack = pos
-    nv = pos + 1
+    slack = k * n  # state s's prices start at s * n
+    nv = slack + 1
 
     A_rows, b_rows = [], []
     for (u, v) in pairs:
@@ -825,21 +650,15 @@ def extract_equilibrium_prices(strategy: BalancedStrategy,
         A_rows.append(row)
         b_rows.append(-1.0)
     for (u, v) in pairs:
-        cone = cone_table.resolve(spec.states[u], spec.states[v])
-        dr = rows_cache[id(cone)]
-        for r_i in range(dr.n_rows):
-            row = np.zeros(nv)
-            row[v * n: (v + 1) * n] += dr.F_c[r_i]
-            for w in range(k):
-                if spec.P[v, w] > 0.0:
-                    row[w * n: (w + 1) * n] += (spec.P[v, w] / alpha[v]
-                                                * dr.F_d[r_i])
-            if dr.n_lift:
-                lo = lift_offs[(u, v)]
-                row[lo: lo + dr.n_lift] += dr.F_lift[r_i]
-            row[slack] -= 1.0
-            A_rows.append(row)
-            b_rows.append(0.0)
+        dr = dual_cone_rows(cone_table.resolve(spec.states[u],
+                                               spec.states[v]))
+        block = np.zeros((dr.n_rows, nv))
+        block[:, v * n: (v + 1) * n] = dr.F_c
+        for w in np.flatnonzero(spec.P[v] > 0.0):
+            block[:, w * n: (w + 1) * n] += spec.P[v, w] / alpha[v] * dr.F_d
+        block[:, slack] = -1.0
+        A_rows.extend(block)
+        b_rows.extend([0.0] * dr.n_rows)
 
     c = np.zeros(nv)
     c[slack] = 1.0
