@@ -182,6 +182,12 @@ def _build_model_tree(cfg: ModelConfig, horizon: int, root_state):
         raise ModelError(str(exc)) from exc
 
 
+def _limit(args, cfg: ModelConfig, key: str):
+    """The command-line value of ``key``, else the model file's limit."""
+    val = getattr(args, key)
+    return cfg.limits[key] if val is None else val
+
+
 def _emit(doc: dict, out: str | None) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if out:
@@ -196,18 +202,13 @@ def _emit(doc: dict, out: str | None) -> None:
 
 def cmd_validate(args) -> int:
     cfg = load_model(args.model)
-    report = validate_assumptions(cfg.cones, seed=cfg.limits["seed"])
+    report = validate_assumptions(cfg.cones)
     _emit(report.to_dict(), args.out)
     return 0 if report.ok else 1
 
 
 def cmd_solve_tree(args) -> int:
     cfg = load_model(args.model)
-    report = validate_assumptions(cfg.cones)
-    if not report.ok:
-        print("error: model fails the standing assumptions; run validate "
-              "for details", file=sys.stderr)
-        return 1
     x0 = _parse_x0(args.x0, cfg.cones.n)
     objective = args.objective or cfg.objective
     tree = _build_model_tree(cfg, args.horizon, args.root_state)
@@ -237,9 +238,7 @@ def cmd_solve_tree(args) -> int:
 
 def cmd_solve_stationary(args) -> int:
     cfg = load_model(args.model)
-    starts = args.starts if args.starts is not None else \
-        cfg.limits["starts"]
-    seed = args.seed if args.seed is not None else cfg.limits["seed"]
+    starts, seed = _limit(args, cfg, "starts"), _limit(args, cfg, "seed")
     eq = solve_stationary_equilibrium(cfg.markov, cfg.cones,
                                       starts=starts, seed=seed)
     doc = {"starts": starts, "seed": seed, **eq.to_dict()}
@@ -293,12 +292,10 @@ def cmd_certify(args) -> int:
         plan = ContingentPlan.from_dict(tree, plan_dict)
         dual = DualPlan.from_dict(tree, dual_dict)
         report = check_rapid(plan, dual, cfg.cones,
-                             tol=args.tol, defect_tol=args.defect_tol,
-                             competitors=args.competitors
-                             if args.competitors is not None
-                             else cfg.limits["competitors"],
-                             seed=args.seed if args.seed is not None
-                             else cfg.limits["seed"])
+                             tol=_limit(args, cfg, "tol"),
+                             defect_tol=_limit(args, cfg, "defect_tol"),
+                             competitors=_limit(args, cfg, "competitors"),
+                             seed=_limit(args, cfg, "seed"))
     except (KeyError, ValueError) as exc:
         raise ModelError(f"inconsistent plan/dual/model files: {exc}") \
             from exc
@@ -318,11 +315,9 @@ def cmd_simulate(args) -> int:
     try:
         rep = asymptotic_dominance(
             eq, cfg.markov, cfg.cones,
-            competitors=args.competitors if args.competitors is not None
-            else cfg.limits["competitors"],
+            competitors=_limit(args, cfg, "competitors"),
             length=args.length, paths=args.paths,
-            seed=args.seed if args.seed is not None
-            else cfg.limits["seed"],
+            seed=_limit(args, cfg, "seed"),
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -391,9 +386,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="plan JSON (a solve-tree output file works)")
     p.add_argument("--dual", required=True,
                    help="dual JSON (may be the same solve-tree file)")
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--defect-tol", dest="defect_tol", type=float,
-                   default=1e-8)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--defect-tol", dest="defect_tol", type=float)
     p.add_argument("--competitors", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", help="write the report here instead of stdout")

@@ -350,6 +350,15 @@ class _TreeProgram:
         return delta, decrement
 
 
+def _require_assumptions(cone_table) -> None:
+    """Raise :class:`SolverError` unless the standing assumptions hold."""
+    report = validate_assumptions(cone_table)
+    if not report.ok:
+        raise SolverError("cone table fails the standing assumptions "
+                          f"(gamma = {report.gamma:.3e}); run validate "
+                          "for details")
+
+
 def solve_tree_log_optimal(tree: ScenarioTree, cone_table, x0,
                            objective: str = "wealth",
                            extract_dual: bool = True,
@@ -373,12 +382,7 @@ def solve_tree_log_optimal(tree: ScenarioTree, cone_table, x0,
         raise ValueError(f"x0 must have length {n}")
     if (x0 <= 0).any() or not np.isfinite(x0).all():
         raise SolverError("x0 must be strictly positive and finite")
-    report = validate_assumptions(cone_table)
-    if not report.g5_ok or report.gamma <= 0:
-        raise SolverError(
-            "cone table fails the growth assumption (gamma = "
-            f"{report.gamma:.3e}); solve aborted"
-        )
+    _require_assumptions(cone_table)
 
     prog = _TreeProgram(tree, cone_table, x0, objective)
     Y = _interior_start(tree, cone_table, x0, prog.m)
@@ -568,12 +572,7 @@ def solve_stationary_equilibrium(spec: MarkovSpec, cone_table,
     predecessors.  Supporting prices and the certificate residual come
     from :func:`extract_equilibrium_prices`.
     """
-    report = validate_assumptions(cone_table)
-    if not report.g5_ok or report.gamma <= 0:
-        raise SolverError(
-            "cone table fails the growth assumption (gamma = "
-            f"{report.gamma:.3e}); equilibrium solve aborted"
-        )
+    _require_assumptions(cone_table)
     k, n = spec.k, cone_table.n
     prog = _StationaryProgram(spec, cone_table)
     pi = prog.pi
