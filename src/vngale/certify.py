@@ -294,36 +294,30 @@ def asymptotic_dominance(equilibrium, spec: MarkovSpec, cone_table,
     strategy = getattr(equilibrium, "strategy", equilibrium)
     k, n = spec.k, cone_table.n
 
-    xs = np.stack([np.asarray(strategy.x[s], dtype=float)
-                   for s in spec.states])
     log_ax = np.log(_require_positive(
         np.array([strategy.alpha[s] for s in spec.states]), "the strategy"))
     prog = _StationaryProgram(spec, cone_table)
 
-    entries = []
-    for i in range(n):
-        e_i = np.zeros(n)
-        e_i[i] = 1.0
-        prop = np.tile(e_i, (k, 1))
-        entries.append((f"hold-{i}", prop, prog.growth_factors(prop)))
-    entries.append(("dispose-10", xs, 0.9 * np.exp(log_ax)))
+    # buy-and-hold and seeded random proportions, one stacked evaluation
+    names = [f"hold-{i}" for i in range(n)]
+    props = [np.tile(e_i, (k, 1)) for e_i in np.eye(n)]
     rng = np.random.default_rng(seed)
     for j in range(competitors):
-        prop = rng.dirichlet(np.ones(n), size=k)
-        entries.append((f"random-{j}", prop, prog.growth_factors(prop)))
+        names.append(f"random-{j}")
+        props.append(rng.dirichlet(np.ones(n), size=k))
+    entries = list(zip(names, prog.growth_factors(np.stack(props))))
+    entries.insert(n, ("dispose-10", 0.9 * np.exp(log_ax)))
     for name in sorted(include or {}):
         extra = include[name]
-        prop = np.stack([np.asarray(extra.x[s], dtype=float)
-                         for s in spec.states])
-        alph = np.array([extra.alpha[s] for s in spec.states])
-        entries.append((name, prop, alph))
+        entries.append((name, np.array([extra.alpha[s]
+                                        for s in spec.states])))
 
     S = sample_paths(spec, length, paths, seed)
     lx = np.cumsum(log_ax[S], axis=1)
     growth_x = lx[:, -1] / length
 
     rows = []
-    for name, _prop, alph in entries:
+    for name, alph in entries:
         log_ay = np.log(_require_positive(alph, f"competitor {name!r}"))
         ly = np.cumsum(log_ay[S], axis=1)
         rel = ly - lx  # log wealth ratio y over x, starts at 0 before t=1

@@ -279,7 +279,9 @@ def boundary_scale(cone: ConeSpec, a, direction) -> float:
     Free disposal makes the feasible set of ``t`` an interval ``[0, t*]``.
     With budget rows ``t*`` is exact: the smallest ratio
     ``w . (R * a) / w . direction`` over the rows with positive load.
-    Otherwise one linear program maximizes ``t`` directly.
+    Otherwise one linear program maximizes ``t`` directly.  Takes one
+    pair of vectors; the unchecked :func:`_boundary_scale` also takes
+    stacks of pairs.
     """
     a, d = _check_pair(cone, a, direction)
     if d.sum() <= 0.0:
@@ -287,27 +289,48 @@ def boundary_scale(cone: ConeSpec, a, direction) -> float:
     return _boundary_scale(cone, a, d)
 
 
-def _boundary_scale(cone: ConeSpec, a, d) -> float:
-    """:func:`boundary_scale` without input checks, for inner loops."""
+def _boundary_scale(cone: ConeSpec, a, d):
+    """:func:`boundary_scale` without input checks, for inner loops.
+
+    ``a`` and ``d`` have the same shape, ``(n,)`` for one pair (the
+    result is a float) or ``(M, n)`` for a stack of ``M`` pairs (the
+    result is an ``(M,)`` array).  Budget rows handle a whole stack in
+    one row-ratio computation; cones without them solve one linear
+    program per pair.  Each pair's value does not depend on the stack
+    it sits in.
+    """
     rows = cone.budget
     if rows is None:
         n = cone.n
-        avail, deliver = _exchange_rows(cone.exchange)
-        # variables: d-matrix (row-major) then t
-        A_ub = np.block([[avail, np.zeros((n, 1))],
-                         [-deliver, d[:, None]]])
-        c = np.zeros(n * n + 1)
-        c[-1] = 1.0
-        try:
-            res = lp_solve(c, A_ub=A_ub, b_ub=np.concatenate([a, np.zeros(n)]),
-                           maximize=True)
-        except LPUnboundedError:
-            return np.inf
-        return max(res.objective, 0.0)
-    load = rows @ d
-    cap = rows @ (cone.returns * a)
-    live = load > 0.0  # rows without load never bind
-    return float((cap[live] / load[live]).min(initial=np.inf))
+        t = np.array([_exchange_scale(cone, ai, di) for ai, di in
+                      zip(a.reshape(-1, n), d.reshape(-1, n))])
+        t = t.reshape(a.shape[:-1])
+    else:
+        # one matrix-vector product per pair, as for a single pair, so
+        # a pair's loads do not depend on the stack
+        load = (rows @ d[..., None])[..., 0]
+        cap = (rows @ (cone.returns * a)[..., None])[..., 0]
+        # rows without load never bind: their NaN ratio is skipped
+        t = np.fmin.reduce(cap / np.where(load > 0.0, load, np.nan),
+                           axis=-1, initial=np.inf)
+    return float(t) if t.ndim == 0 else t
+
+
+def _exchange_scale(cone: ConeSpec, a, d) -> float:
+    """Boundary scale of one pair by the exchange linear program."""
+    n = cone.n
+    avail, deliver = _exchange_rows(cone.exchange)
+    # variables: d-matrix (row-major) then t
+    A_ub = np.block([[avail, np.zeros((n, 1))],
+                     [-deliver, d[:, None]]])
+    c = np.zeros(n * n + 1)
+    c[-1] = 1.0
+    try:
+        res = lp_solve(c, A_ub=A_ub, b_ub=np.concatenate([a, np.zeros(n)]),
+                       maximize=True)
+    except LPUnboundedError:
+        return np.inf
+    return max(res.objective, 0.0)
 
 
 def max_alpha(cone: ConeSpec, x) -> float:
@@ -580,10 +603,12 @@ def validate_assumptions(cone_table, samples: int = 200, seed: int = 0,
     """Check the standing assumptions on every cone in the table.
 
     Every condition is decided exactly, without sampling: g1 by
-    membership of ``(e_i, 0)``, g2 on the generating rays
+    membership of ``(e_i, 0)`` on the budget rows (the zero exchange
+    matrix ships it in every exchange cone), g2 on the generating rays
     ``(e_j, G[i, j] e_i)`` (so ``G.max() <= M``), g4 on the budget rows
     (the exchange program disposes freely by construction), g5 by the
-    unit growth factors.  A currency cone costs ``2 n`` linear programs.
+    unit growth factors.  A currency cone costs ``n`` linear programs,
+    one per unit growth factor.
     ``samples`` and ``seed`` are unused.  Returns a report; callers
     decide whether a failed report is fatal.
     """
@@ -595,11 +620,11 @@ def validate_assumptions(cone_table, samples: int = 200, seed: int = 0,
 
     for key, cone in items:
         label = "->".join(key) if isinstance(key, tuple) else str(key)
-        zero = np.zeros(cone.n)
-        for i in range(cone.n):
-            e = np.zeros(cone.n)
-            e[i] = 1.0
-            if not contains(cone, e, zero, tol):
+        # the zero exchange matrix ships (e_i, 0) in every exchange
+        # cone; only budget rows need a check
+        units = np.eye(cone.n) if cone.budget is not None else ()
+        for i, e in enumerate(units):
+            if not contains(cone, e, np.zeros(cone.n), tol):
                 g1_ok = False
                 violations.append({"condition": "g1", "cone": label,
                                    "witness": {"unit": i}})

@@ -339,20 +339,22 @@ def sample_paths(spec: MarkovSpec, length: int, count: int,
     k = spec.k
     cum0 = np.cumsum(spec.pi0)
     cumP = np.cumsum(spec.P, axis=1)
-    out = np.empty((count, length), dtype=np.int64)
     base = np.uint64(seed & (2 ** 64 - 1))
+    u = np.empty((count, length))
     for i in range(count):
         gen = np.random.Generator(
             np.random.Philox(key=np.array([base, np.uint64(i)],
                                           dtype=np.uint64))
         )
-        u = gen.random(length)
-        s = int(np.searchsorted(cum0, u[0] * cum0[-1], side="right"))
-        s = min(s, k - 1)
-        out[i, 0] = s
-        for t in range(1, length):
-            row = cumP[s]
-            s = int(np.searchsorted(row, u[t] * row[-1], side="right"))
-            s = min(s, k - 1)
-            out[i, t] = s
+        u[i] = gen.random(length)
+    # all paths step together; the next state is the number of
+    # cumulative probabilities <= u * total (a right-sided search)
+    out = np.empty((count, length), dtype=np.int64)
+    s = np.minimum((cum0 <= u[:, :1] * cum0[-1]).sum(axis=1), k - 1)
+    out[:, 0] = s
+    for t in range(1, length):
+        rows = cumP[s]
+        s = np.minimum((rows <= u[:, t:t + 1] * rows[:, -1:]).sum(axis=1),
+                       k - 1)
+        out[:, t] = s
     return out

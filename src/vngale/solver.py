@@ -25,13 +25,16 @@ wealth a supermartingale.
 The stationary solver searches over per-state simplex proportions with a
 seeded multistart pattern search, growth factors being recovered per
 transition as the largest feasible scale toward the destination
-proportions; supporting state prices come from the analogous stationary
-feasibility program.
+proportions.  Each sweep of the search is one stacked evaluation: every
+feasible move's trial table goes through one boundary-scale call per
+(predecessor, state) pair.  Supporting state prices come from the
+analogous stationary feasibility program.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -499,24 +502,36 @@ class _StationaryProgram:
         ]
 
     def growth_factors(self, xs):
-        """alpha[v]: largest scale of x(v) reachable from every
-        positive-probability predecessor's proportions (1 without any)."""
-        alpha = np.ones(len(self.preds))
+        """alpha[..., v]: largest scale of x(v) reachable from every
+        positive-probability predecessor's proportions (1 without any).
+
+        ``xs`` is one ``(k, n)`` table of proportions or a stack
+        ``(M, k, n)`` of them; each (predecessor, state) pair is one
+        boundary-scale call over the whole stack.
+        """
+        xs = np.asarray(xs, dtype=float)
+        alpha = np.ones(xs.shape[:-1])
         for v, preds in enumerate(self.preds):
-            best = min((_boundary_scale(cone, xs[u], xs[v])
-                        for u, cone in preds), default=np.inf)
-            if best < np.inf:
-                alpha[v] = best
+            if not preds:
+                continue
+            best = np.min([_boundary_scale(cone, xs[..., u, :], xs[..., v, :])
+                           for u, cone in preds], axis=0)
+            alpha[..., v] = np.where(best < np.inf, best, 1.0)
         return alpha
 
     def value(self, xs):
+        """Expected log growth ``pi . log(alpha)`` and the growth factors,
+        for one table (a float) or a stack of them (an ``(M,)`` array);
+        ``-inf`` where a state of positive weight has no growth."""
         alpha = self.growth_factors(xs)
         mask = self.pi > 0
-        if (alpha[mask] <= 0.0).any():
-            return -np.inf, alpha
-        logs = np.zeros(len(alpha))
-        logs[mask] = np.log(alpha[mask])
-        return float(self.pi @ logs), alpha
+        dead = (alpha[..., mask] <= 0.0).any(axis=-1)
+        logs = np.zeros(alpha.shape)
+        logs[..., mask] = np.log(np.where(dead[..., None], 1.0,
+                                          alpha[..., mask]))
+        # one dot product per table, as for a single table
+        f = np.where(dead, -np.inf, (self.pi @ logs[..., None])[..., 0])
+        return (float(f) if f.ndim == 0 else f), alpha
 
 
 def _pattern_search(xs0, prog, h0=0.25, h_min=1e-7):
@@ -525,38 +540,39 @@ def _pattern_search(xs0, prog, h0=0.25, h_min=1e-7):
     Moves shift mass h from coordinate j to i within one state, or
     within every state at once.  The coordinated moves matter: growth
     factors are minima over predecessor states, so single-state moves
-    can stall on the ridge where two predecessors tie.
+    can stall on the ridge where two predecessors tie.  A move is
+    feasible when every state it touches holds at least h of asset j.
+    Each sweep evaluates all feasible moves as one stack and takes the
+    first of the best (moves ordered by scope, then i, then j), if it
+    gains more than 1e-15.
     """
     xs = xs0.copy()
     k, n = xs.shape
     f_cur, _ = prog.value(xs)
-    scopes = [(s,) for s in range(k)]
-    if k > 1:
-        scopes.append(tuple(range(k)))
+    scopes = [[s] for s in range(k)] + ([list(range(k))] if k > 1 else [])
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    delta = np.zeros((len(scopes) * len(pairs), k, n))  # unit moves
+    for m, (scope, (i, j)) in enumerate(product(scopes, pairs)):
+        delta[m, scope, i] = 1.0
+        delta[m, scope, j] = -1.0
+    source = delta < 0.0
     h = h0
     while h >= h_min:
-        best_gain = 1e-15
-        best_move = None
-        for scope in scopes:
-            for i in range(n):
-                for j in range(n):
-                    if i == j:
-                        continue
-                    if any(xs[s, j] < h - 1e-15 for s in scope):
-                        continue
-                    trial = xs.copy()
-                    for s in scope:
-                        trial[s, i] += h
-                        trial[s, j] = max(trial[s, j] - h, 0.0)
-                    f_new, _ = prog.value(trial)
-                    if f_new - f_cur > best_gain:
-                        best_gain = f_new - f_cur
-                        best_move = trial
-        if best_move is None:
+        feasible = ((xs >= h - 1e-15) | ~source).all(axis=(1, 2))
+        best = None
+        if feasible.any():
+            trials = np.maximum(xs + h * delta[feasible], 0.0)
+            f_new, _ = prog.value(trials)
+            gain = f_new - f_cur
+            gain[np.isnan(gain)] = -np.inf  # -inf to -inf is no gain
+            best = int(np.argmax(gain))
+            if not gain[best] > 1e-15:
+                best = None
+        if best is None:
             h *= 0.5
         else:
-            xs = best_move
-            f_cur, _ = prog.value(xs)
+            xs = trials[best]
+            f_cur = float(f_new[best])
     return xs, f_cur
 
 
