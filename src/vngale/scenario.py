@@ -160,7 +160,8 @@ class ScenarioTree:
     cond_prob    probability of this node given its parent
     abs_prob     product of conditional probabilities from the root
     first_child, n_children
-                 children of v are ids first_child[v] .. +n_children[v]
+                 children of v are ids first_child[v] .. +n_children[v];
+                 every node above the horizon has at least one child
     depth_start  depth d occupies ids depth_start[d] .. depth_start[d+1]
     """
 
@@ -278,12 +279,14 @@ def build_tree(spec: MarkovSpec, horizon: int,
     absp = np.concatenate(absp)
     n = parent.size
 
+    # parent[1:] is nondecreasing (BFS), so a node's first child is its
+    # first occurrence there.  Rows of P and pi0 sum to one, so every
+    # node above the horizon has a child (the solver's reduceat needs it)
+    kids = parent[1:]
+    first = np.flatnonzero(np.diff(kids, prepend=-1))  # parent changes
     first_child = np.full(n, n, dtype=int)
-    n_children = np.zeros(n, dtype=int)
-    # children are consecutive in BFS order; first occurrence wins
-    for v in range(n - 1, 0, -1):
-        first_child[parent[v]] = v
-    np.add.at(n_children, parent[1:], 1)
+    first_child[kids[first]] = first + 1
+    n_children = np.bincount(kids, minlength=n)
 
     for arr in (parent, state, cond, absp, first_child, n_children):
         arr.flags.writeable = False

@@ -6,11 +6,14 @@ cone's budget rows when it has them (``w . b <= w . (R * a)``), otherwise
 availability and delivery rows over an ``n * n`` exchange-matrix lift
 built from the exchange matrix ``G``.  The feasible set is polyhedral and
 the program is concave with a tree-structured Hessian.  It is solved by a
-log-barrier interior-point method whose Newton systems are eliminated
-leaf-to-root, one depth at a time in batches: each node's block couples
-only its parent.  Every node carries the same number of variables, its
-portfolio plus the widest lift in the tree; a lift-free node gets an
-identity lift block and a zero gradient, so its lift step is exactly 0.
+log-barrier interior-point method.  Each Newton system is assembled with
+one matrix product per group of edges sharing a cone, and eliminated
+leaf-to-root over the breadth-first node ids: a depth is one id slice,
+each node's block couples only its parent, and what a node receives
+from its children is one sum over their consecutive ids.  Every node
+carries the same number of variables, its portfolio plus the widest
+lift in the tree; a lift-free node gets an identity lift block and a
+zero gradient, so its lift step is exactly 0.
 Steps are linear-time in the node count.  Barrier iterates are strictly
 feasible, so the returned plan is exactly self-financing.
 
@@ -44,7 +47,7 @@ from .cones import (
     ConeSpec,
     _boundary_scale,
     _exchange_rows,
-    boundary_scale,
+    boundary_scale,  # not called here; perfbench/tracing.py wraps it
     dual_cone_rows,
     validate_assumptions,
     wealth_weights,
@@ -148,7 +151,10 @@ def _edge_matrices(cone: ConeSpec):
 
 
 class _EdgeGroup:
-    """Edges sharing one cone, vectorized together."""
+    """Edges sharing one cone (child ids ``nodes``, ascending),
+    vectorized together.  Each row's flattened outer products are
+    tabulated once, so Hessian blocks are one GEMM with the row weights.
+    """
 
     def __init__(self, cone, nodes, parents):
         self.cone = cone
@@ -157,6 +163,10 @@ class _EdgeGroup:
         self.Fa, self.Fv = _edge_matrices(cone)
         self.n = cone.n
         self.k = self.Fv.shape[1]  # node variables the rows touch
+        r = self.Fa.shape[0]
+        self.FaFa = (self.Fa[:, :, None] * self.Fa[:, None, :]).reshape(r, -1)
+        self.FvFv = (self.Fv[:, :, None] * self.Fv[:, None, :]).reshape(r, -1)
+        self.FvFa = (self.Fv[:, :, None] * self.Fa[:, None, :]).reshape(r, -1)
 
     def residual_rows(self, Y):
         return (Y[self.parents, :self.n] @ self.Fa.T
@@ -164,39 +174,53 @@ class _EdgeGroup:
 
 
 def _edge_groups(tree: ScenarioTree, cone_table):
+    """Edges grouped by cone, in order of each cone's first edge; the
+    table is resolved once per distinct (parent state, state) pair."""
+    k = tree.spec.k
+    labels = ("*",) + tree.spec.states  # state -1 (a free root) is '*'
+    code = (tree.state[tree.parent[1:]] + 1) * k + tree.state[1:]
     by_cone = {}
-    for v in range(1, tree.n_nodes):
-        cone = cone_table.resolve(*tree.transition_label(v))
-        by_cone.setdefault(id(cone), (cone, [], []))
-        by_cone[id(cone)][1].append(v)
-        by_cone[id(cone)][2].append(tree.parent[v])
-    return [_EdgeGroup(cone, nodes, parents)
-            for cone, nodes, parents in by_cone.values()]
+    for c in code[np.sort(np.unique(code, return_index=True)[1])]:
+        cone = cone_table.resolve(labels[c // k], labels[c % k + 1])
+        by_cone.setdefault(id(cone), (cone, []))[1].append(c)
+    groups = []
+    for cone, codes in by_cone.values():
+        nodes = np.flatnonzero(np.isin(code, codes)) + 1
+        groups.append(_EdgeGroup(cone, nodes, tree.parent[nodes]))
+    return groups
 
 
-def _interior_start(tree, cone_table, x0, m):
-    """Strictly feasible state ``(x, lift)`` per node: roll half the
-    boundary scale toward the all-ones direction at every edge; exchange
-    lifts spread positive mass over all entries, and lift-free nodes keep
-    lift entries of 1."""
+def _interior_start(tree, groups, x0, m):
+    """Strictly feasible state ``(x, lift)`` per node, one depth at a
+    time: roll half the boundary scale toward the all-ones direction at
+    every edge; exchange lifts spread positive mass over all entries,
+    and lift-free nodes keep lift entries of 1."""
     n = x0.size
     Y = np.ones((tree.n_nodes, m))
     Y[0, :n] = x0
-    ones = np.ones(n)
-    for v in range(1, tree.n_nodes):
-        cone = cone_table.resolve(*tree.transition_label(v))
-        a = Y[tree.parent[v], :n]
-        if cone.budget is None:
-            d = np.tile(0.3 * a / max(n - 1, 1), (n, 1))
-            np.fill_diagonal(d, 0.5 * a)
-            t = 0.4 * (cone.exchange * d).sum(axis=1).min()
-            Y[v, n:] = d.ravel()
-        else:
-            t = 0.5 * boundary_scale(cone, a, ones)
-        if t <= 0:
+    diag = np.arange(n)
+    for d in range(1, tree.horizon + 1):
+        lo, hi = tree.depth_start[d], tree.depth_start[d + 1]
+        t = np.empty(hi - lo)
+        for g in groups:
+            i, j = np.searchsorted(g.nodes, (lo, hi))
+            nodes = g.nodes[i:j]
+            a = Y[g.parents[i:j], :n]
+            if g.cone.budget is None:
+                lift = np.repeat(0.3 * a / max(n - 1, 1), n,
+                                 axis=0).reshape(-1, n, n)
+                lift[:, diag, diag] = 0.5 * a
+                t[nodes - lo] = 0.4 * (g.cone.exchange * lift).sum(
+                    axis=2).min(axis=1)
+                Y[nodes, n:] = lift.reshape(nodes.size, -1)
+            else:
+                t[nodes - lo] = 0.5 * _boundary_scale(g.cone, a,
+                                                      np.ones_like(a))
+        bad = np.flatnonzero(t <= 0)
+        if bad.size:
             raise SolverError("cannot construct interior start "
-                              f"(zero growth at node {v})")
-        Y[v, :n] = t * ones
+                              f"(zero growth at node {lo + bad[0]})")
+        Y[lo:hi, :n] = t[:, None]
     return Y
 
 
@@ -213,15 +237,17 @@ class _TreeProgram:
         self.groups = _edge_groups(tree, cone_table)
         self.m = max(g.k for g in self.groups)
         self.lift_free = np.ones(tree.n_nodes, dtype=bool)
-        for g in self.groups:
-            self.lift_free[g.nodes] = g.k == self.n
+        # non-leaf nodes are the ids below the last depth
+        self.n_inner = int(tree.depth_start[tree.horizon])
         self.leaves = tree.leaves()
         self.leaf_prob = tree.abs_prob[self.leaves]
         W = np.zeros((self.leaves.size, self.n))
-        for i, v in enumerate(self.leaves):
-            cone = cone_table.resolve(*tree.transition_label(int(v)))
-            W[i] = wealth_weights(cone, objective)
+        for g in self.groups:
+            self.lift_free[g.nodes] = g.k == self.n
+            at_leaf = g.nodes[g.nodes >= self.n_inner]
+            W[at_leaf - self.n_inner] = wealth_weights(g.cone, objective)
         self.leaf_w = W
+        self.leaf_ww = W[:, :, None] * W[:, None, :]
 
     def objective_value(self, X):
         vals = (self.leaf_w * X[self.leaves]).sum(axis=1)
@@ -254,6 +280,8 @@ class _TreeProgram:
         G = np.zeros((N, m))
         H = np.zeros((N, m, m))
         CP = np.zeros((N, m, n))  # rows: own variables, cols: parent x
+        # each edge's parent-side terms, stored at its child
+        PG, PH = np.zeros((N, n)), np.zeros((N, n * n))
 
         # coordinate barriers; lift-free nodes get an identity lift block
         idx = np.arange(m)
@@ -266,18 +294,23 @@ class _TreeProgram:
         vals = (self.leaf_w * Y[self.leaves, :n]).sum(axis=1)
         G[self.leaves, :n] += (-self.leaf_prob / vals)[:, None] * self.leaf_w
         H[self.leaves, :n, :n] += (self.leaf_prob / vals ** 2)[:, None, None] \
-            * np.einsum("li,lj->lij", self.leaf_w, self.leaf_w)
+            * self.leaf_ww
 
-        for g in self.groups:
-            u = 1.0 / (-g.residual_rows(Y))  # positive
+        rows = [g.residual_rows(Y) for g in self.groups]
+        for g, r in zip(self.groups, rows):
+            u = 1.0 / (-r)  # positive
             w = mu * u ** 2
-            Fa, Fv, k = g.Fa, g.Fv, g.k
-            np.add.at(G[:, :n], g.parents, mu * (u @ Fa))
-            np.add.at(H[:, :n, :n], g.parents,
-                      np.einsum("gr,ri,rj->gij", w, Fa, Fa))
-            G[g.nodes, :k] += mu * (u @ Fv)
-            H[g.nodes, :k, :k] += np.einsum("gr,ri,rj->gij", w, Fv, Fv)
-            CP[g.nodes, :k] = np.einsum("gr,ri,rj->gij", w, Fv, Fa)
+            k = g.k
+            PG[g.nodes] = mu * (u @ g.Fa)
+            PH[g.nodes] = w @ g.FaFa
+            G[g.nodes, :k] += mu * (u @ g.Fv)
+            H[g.nodes, :k, :k] += (w @ g.FvFv).reshape(-1, k, k)
+            CP[g.nodes, :k] = (w @ g.FvFa).reshape(-1, k, n)
+        # each non-leaf node has >= 1 child: no reduceat range is empty
+        starts = self.tree.first_child[:self.n_inner] - 1
+        G[:self.n_inner, :n] += np.add.reduceat(PG[1:], starts)
+        H[:self.n_inner, :n, :n] += np.add.reduceat(
+            PH[1:], starts).reshape(-1, n, n)
 
         dY, decrement = self._solve_kkt_by_depth(G, H, CP)
         if decrement <= 0:
@@ -289,11 +322,10 @@ class _TreeProgram:
             neg = dY[1:] < 0
             if neg.any():
                 t_max = min(t_max, float((-Y[1:][neg] / dY[1:][neg]).min()))
-            for g in self.groups:
+            for g, r in zip(self.groups, rows):
                 dr = g.residual_rows(dY)
                 grow = dr > 0
                 if grow.any():
-                    r = g.residual_rows(Y)
                     t_max = min(t_max, float((-r[grow] / dr[grow]).min()))
         t = min(1.0, 0.99 * t_max)
 
@@ -312,10 +344,14 @@ class _TreeProgram:
 
         Each node's Hessian block couples only to its parent's
         portfolio, so eliminating whole generations leaf-to-root factors
-        the system in O(depth) batched dense solves.
+        the system in O(depth) batched dense solves.  Depth ``d`` is the
+        id slice ``depth_start[d]:depth_start[d+1]``; the Schur
+        complement of each child goes to its parent in the depth
+        ``d-1`` slice as one sum over consecutive child ranges.
         """
         tree, n = self.tree, self.n
         N, m = G.shape
+        ds, first_child = tree.depth_start, tree.first_child
         idx = np.arange(m)
         # relative ridge: value-flat directions (a leaf cares only
         # about total wealth) otherwise drive the block singular as
@@ -324,31 +360,29 @@ class _TreeProgram:
         H[1:, idx, idx] += 1e-14 * diag_max[:, None]
         g0 = G.copy()
 
-        GV = np.zeros((N, m))
-        KK = np.zeros((N, m, n))
-        parent = tree.parent
+        # per node: [H^-1 g | H^-1 CP], the step given the parent's
+        sol = np.zeros((N, m, n + 1))
         for d in range(tree.horizon, 0, -1):
-            vs = tree.nodes_at_depth(d)
+            vs = slice(ds[d], ds[d + 1])
             try:
-                sol = np.linalg.solve(
-                    H[vs], np.concatenate([G[vs][:, :, None], CP[vs]],
-                                          axis=2))
+                sol[vs] = np.linalg.solve(
+                    H[vs], np.concatenate([G[vs, :, None], CP[vs]], axis=2))
             except np.linalg.LinAlgError:
                 raise SolverError("singular Newton system at depth "
                                   f"{d}") from None
-            GV[vs] = sol[:, :, 0]
-            KK[vs] = sol[:, :, 1:]
             if d > 1:
-                np.add.at(H[:, :n, :n], parent[vs],
-                          -np.einsum("vrc,vrk->vck", CP[vs], KK[vs]))
-                np.add.at(G[:, :n], parent[vs],
-                          -np.einsum("vrc,vr->vc", CP[vs], GV[vs]))
+                ps = slice(ds[d - 1], ds[d])
+                schur = np.add.reduceat(
+                    CP[vs].transpose(0, 2, 1) @ sol[vs],
+                    first_child[ps] - ds[d])
+                G[ps, :n] -= schur[:, :, 0]
+                H[ps, :n, :n] -= schur[:, :, 1:]
 
         delta = np.zeros((N, m))
         for d in range(1, tree.horizon + 1):
-            vs = tree.nodes_at_depth(d)
-            delta[vs] = -(GV[vs] + np.einsum("vrc,vc->vr", KK[vs],
-                                             delta[parent[vs], :n]))
+            vs = slice(ds[d], ds[d + 1])
+            delta[vs] = -(sol[vs, :, 0] + (
+                sol[vs, :, 1:] @ delta[tree.parent[vs], :n, None])[:, :, 0])
         decrement = -float(np.einsum("vi,vi->", g0[1:], delta[1:]))
         return delta, decrement
 
@@ -388,7 +422,7 @@ def solve_tree_log_optimal(tree: ScenarioTree, cone_table, x0,
     _require_assumptions(cone_table)
 
     prog = _TreeProgram(tree, cone_table, x0, objective)
-    Y = _interior_start(tree, cone_table, x0, prog.m)
+    Y = _interior_start(tree, prog.groups, x0, prog.m)
 
     iterations = 0
     mu = 1.0

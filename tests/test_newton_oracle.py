@@ -1,0 +1,284 @@
+"""The primal Newton step against dense and per-node references.
+
+``solver._TreeProgram.newton_step`` assembles the barrier Hessian with
+one matrix product per edge group, sums each edge's parent-side terms
+over the parent's consecutive child range, and eliminates the tree one
+depth slice at a time.  Here the same Newton system is written out
+densely, one edge at a time from ``_edge_matrices``, and solved whole.
+The set-up that feeds the step (the tree layout, the edge groups and
+the interior start) is checked against the per-node loops it replaced,
+kept here as the reference.
+"""
+
+import numpy as np
+import pytest
+
+from vngale.cones import ConeSpec, ConeTable, boundary_scale, wealth_weights
+from vngale.scenario import MarkovSpec, build_tree
+from vngale.solver import (
+    SolverError,
+    _edge_groups,
+    _edge_matrices,
+    _interior_start,
+    _TreeProgram,
+)
+
+COIN = MarkovSpec(["U", "D"], [[0.5, 0.5], [0.5, 0.5]])
+# zero-probability transitions: A has 2 children, B one, C three
+PRUNED = MarkovSpec(["A", "B", "C"],
+                    [[0.6, 0.4, 0.0], [0.0, 0.0, 1.0], [0.2, 0.3, 0.5]],
+                    pi0=[0.5, 0.0, 0.5])
+
+MU = np.array([[1.0, 0.9], [1.05, 1.0]])
+
+
+def frictionless():
+    return ConeTable({"*->U": ConeSpec.frictionless([1.0, 1.6]),
+                      "*->D": ConeSpec.frictionless([1.0, 0.7])})
+
+
+def costly():
+    return ConeTable({
+        "*->U": ConeSpec.proportional_tc([1.0, 1.6], [0.02, 0.03], 0.04),
+        "*->D": ConeSpec.proportional_tc([1.0, 0.7], 0.01, [0.0, 0.05]),
+    })
+
+
+def currency():
+    return ConeTable({"*->U": ConeSpec.currency(MU),
+                      "*->D": ConeSpec.currency(MU.T)})
+
+
+def mixed():
+    # currency lifts on U edges, lift-free budget rows on D edges
+    return ConeTable({"*->U": ConeSpec.currency(MU),
+                      "*->D": ConeSpec.proportional_tc([1.0, 0.7], 0.01,
+                                                       0.02)})
+
+
+def exact_over_wildcard():
+    # U -> D must resolve to its own key, not to *->D
+    return ConeTable({
+        "*->U": ConeSpec.frictionless([1.0, 1.6]),
+        "*->D": ConeSpec.frictionless([1.0, 0.7]),
+        "U->D": ConeSpec.proportional_tc([1.0, 0.8], 0.02, 0.03),
+    })
+
+
+def pruned_table():
+    return ConeTable({
+        "*->A": ConeSpec.frictionless([1.0, 1.3, 0.9]),
+        "*->B": ConeSpec.proportional_tc([1.0, 0.8, 1.2], 0.01, 0.02),
+        "C->C": ConeSpec.frictionless([1.0, 1.1, 1.05]),
+        "*->C": ConeSpec.proportional_tc([1.0, 0.95, 1.0], 0.02, 0.0),
+    })
+
+
+# (name, tree, table); every tree has 7-40 nodes
+CASES = [
+    ("frictionless", build_tree(COIN, 3), frictionless()),
+    ("proportional_tc", build_tree(COIN, 3), costly()),
+    ("currency", build_tree(COIN, 2), currency()),
+    ("mixed", build_tree(COIN, 3), mixed()),
+    ("pinned-root", build_tree(COIN, 3, root_state="D"), costly()),
+    ("exact-key", build_tree(COIN, 4, root_state="U"),
+     exact_over_wildcard()),
+    ("pruned", build_tree(PRUNED, 4), pruned_table()),
+    ("pruned-pinned", build_tree(PRUNED, 3, root_state="B"),
+     pruned_table()),
+]
+IDS = [c[0] for c in CASES]
+
+
+def x0_for(table):
+    return np.linspace(1.0, 0.5, table.n)
+
+
+# ---------------------------------------------------------------------------
+# tree layout
+
+
+def _children_by_loop(parent):
+    n = parent.size
+    first_child = np.full(n, n, dtype=int)
+    n_children = np.zeros(n, dtype=int)
+    for v in range(n - 1, 0, -1):
+        first_child[parent[v]] = v
+    np.add.at(n_children, parent[1:], 1)
+    return first_child, n_children
+
+
+def test_child_ranges_match_the_loop():
+    rng = np.random.default_rng(11)
+    trees = [tree for _, tree, _ in CASES]
+    for k in (1, 2, 4):
+        P = rng.dirichlet(np.ones(k), size=k)
+        P[P < 0.3] = 0.0  # prune, keeping each row's largest entry
+        P[np.arange(k), rng.integers(0, k, k)] += 0.05
+        P /= P.sum(axis=1, keepdims=True)
+        spec = MarkovSpec([str(i) for i in range(k)], P)
+        trees += [build_tree(spec, 4), build_tree(spec, 3, root_state="0")]
+    for tree in trees:
+        first_child, n_children = _children_by_loop(tree.parent)
+        assert np.array_equal(tree.first_child, first_child)
+        assert np.array_equal(tree.n_children, n_children)
+        inner = tree.depth_start[tree.horizon]
+        assert (tree.n_children[:inner] >= 1).all()
+        assert (tree.n_children[inner:] == 0).all()
+        assert not tree.first_child.flags.writeable
+        assert not tree.n_children.flags.writeable
+    pruned = build_tree(PRUNED, 3, root_state="B")
+    assert set(pruned.n_children[1:pruned.depth_start[3]]) == {1, 2, 3}
+
+
+# ---------------------------------------------------------------------------
+# edge groups and the interior start
+
+
+@pytest.mark.parametrize("name, tree, table", CASES, ids=IDS)
+def test_edge_groups_partition_by_resolved_cone(name, tree, table):
+    groups = _edge_groups(tree, table)
+    expected = [table.resolve(*tree.transition_label(v))
+                for v in range(1, tree.n_nodes)]
+    seen = np.zeros(tree.n_nodes, dtype=int)
+    for g in groups:
+        assert np.array_equal(g.nodes, np.sort(g.nodes))
+        assert np.array_equal(g.parents, tree.parent[g.nodes])
+        assert all(expected[v - 1] is g.cone for v in g.nodes)
+        seen[g.nodes] += 1
+    assert seen[0] == 0 and (seen[1:] == 1).all()
+    assert len({id(g.cone) for g in groups}) == len(groups)
+
+
+def _interior_start_by_node(tree, table, x0, m):
+    n = x0.size
+    Y = np.ones((tree.n_nodes, m))
+    Y[0, :n] = x0
+    ones = np.ones(n)
+    for v in range(1, tree.n_nodes):
+        cone = table.resolve(*tree.transition_label(v))
+        a = Y[tree.parent[v], :n]
+        if cone.budget is None:
+            d = np.tile(0.3 * a / max(n - 1, 1), (n, 1))
+            np.fill_diagonal(d, 0.5 * a)
+            t = 0.4 * (cone.exchange * d).sum(axis=1).min()
+            Y[v, n:] = d.ravel()
+        else:
+            t = 0.5 * boundary_scale(cone, a, ones)
+        if t <= 0:
+            raise SolverError("cannot construct interior start "
+                              f"(zero growth at node {v})")
+        Y[v, :n] = t * ones
+    return Y
+
+
+@pytest.mark.parametrize("name, tree, table", CASES, ids=IDS)
+def test_interior_start_matches_the_loop(name, tree, table):
+    x0 = x0_for(table)
+    groups = _edge_groups(tree, table)
+    m = max(g.k for g in groups)
+    Y = _interior_start(tree, groups, x0, m)
+    ref = _interior_start_by_node(tree, table, x0, m)
+    if all(g.cone.budget is not None for g in groups):
+        assert np.array_equal(Y, ref)
+    else:
+        np.testing.assert_allclose(Y, ref, rtol=1e-15, atol=0)
+    assert (Y[1:] > 0).all()
+    for g in groups:
+        assert (g.residual_rows(Y) < 0).all()
+
+
+def test_zero_growth_names_the_first_failing_node():
+    # D edges cannot sell and the start holds none of asset 1, so there
+    # is no room to grow toward (1, 1): node 2, the first D node, fails
+    table = ConeTable({"*->U": ConeSpec.frictionless([1.0, 1.5]),
+                       "*->D": ConeSpec.proportional_tc([1.0, 1.0],
+                                                        0.0, 1.0)})
+    for tree in (build_tree(COIN, 2), build_tree(COIN, 3, root_state="U")):
+        x0 = np.array([1.0, 0.0])
+        with pytest.raises(SolverError) as ref:
+            _interior_start_by_node(tree, table, x0, 2)
+        with pytest.raises(SolverError) as got:
+            _interior_start(tree, _edge_groups(tree, table), x0, 2)
+        assert str(got.value) == str(ref.value)
+        assert "at node 2)" in str(got.value)
+
+
+# ---------------------------------------------------------------------------
+# the Newton direction against the dense system
+
+
+def _dense_newton(tree, table, Y, mu, objective, m):
+    """Gradient and Hessian of the barrier over all non-root node
+    variables, written edge by edge, with the solver's relative ridge;
+    returns the Newton direction and decrement."""
+    n = table.n
+    N = tree.n_nodes
+    g = np.zeros((N - 1) * m)
+    H = np.zeros((g.size, g.size))
+
+    def cols(v, width):
+        return np.arange((v - 1) * m, (v - 1) * m + width)
+
+    for v in range(1, N):
+        cone = table.resolve(*tree.transition_label(v))
+        Fa, Fv = _edge_matrices(cone)
+        k = Fv.shape[1]
+        own = cols(v, m)
+        for i in range(m):
+            if i < k:
+                g[own[i]] -= mu / Y[v, i]
+                H[own[i], own[i]] += mu / Y[v, i] ** 2
+            else:  # lift entries a lift-free node does not use
+                H[own[i], own[i]] = 1.0
+        u = tree.parent[v]
+        r = Fa @ Y[u, :n] + Fv @ Y[v, :k]
+        for row in range(r.size):
+            if u == 0:  # the root portfolio is fixed
+                idx, coef = cols(v, k), Fv[row]
+            else:
+                idx = np.concatenate([cols(u, n), cols(v, k)])
+                coef = np.concatenate([Fa[row], Fv[row]])
+            g[idx] += mu / -r[row] * coef
+            H[np.ix_(idx, idx)] += mu / r[row] ** 2 * np.outer(coef, coef)
+        if tree.depth[v] == tree.horizon:
+            w = wealth_weights(cone, objective)
+            val = w @ Y[v, :n]
+            p = tree.abs_prob[v]
+            x = cols(v, n)
+            g[x] -= p / val * w
+            H[np.ix_(x, x)] += p / val ** 2 * np.outer(w, w)
+    for v in range(1, N):
+        own = cols(v, m)
+        H[own, own] += 1e-14 * max(H[own, own].max(), 1.0)
+    delta = np.linalg.solve(H, -g)
+    return delta.reshape(N - 1, m), float(-g @ delta)
+
+
+@pytest.mark.parametrize("objective", ["wealth", "liquidation"])
+@pytest.mark.parametrize("name, tree, table", CASES, ids=IDS)
+def test_newton_direction_matches_dense_solve(name, tree, table, objective):
+    x0 = x0_for(table)
+    prog = _TreeProgram(tree, table, x0, objective)
+    Y = _interior_start(tree, prog.groups, x0, prog.m)
+    solve_by_depth = prog._solve_kkt_by_depth
+    steps = []
+
+    def record(G, H, CP):
+        out = solve_by_depth(G, H, CP)
+        steps.append(out)
+        return out
+
+    prog._solve_kkt_by_depth = record
+    for mu in (1.0, 1e-1, 1e-2):
+        for _ in range(3):
+            Y_next, dec = prog.newton_step(Y, mu)
+            dY, dec_tree = steps[-1]
+            assert dec == dec_tree
+            ref, ref_dec = _dense_newton(tree, table, Y, mu, objective,
+                                         prog.m)
+            assert np.abs(dY[0]).max() == 0.0
+            scale = np.abs(ref).max()
+            assert np.abs(dY[1:] - ref).max() <= 1e-9 * scale
+            assert dec == pytest.approx(ref_dec, rel=1e-9)
+            Y = Y_next
