@@ -173,7 +173,10 @@ class DualPlan:
         if tree.depth[v] >= tree.horizon:
             return self.terminal[v - tree.depth_start[tree.horizon]]
         kids = tree.children(v)
-        return self.tree.cond_prob[kids] @ self.prices[kids]
+        # summed as the tree solver's dual recursion sums a child range,
+        # so the dual-cone rows of its least prices hold exactly here
+        return np.add.reduceat(tree.cond_prob[kids, None] * self.prices[kids],
+                               [0])[0]
 
     def to_dict(self) -> dict:
         leaves = self.tree.leaves()

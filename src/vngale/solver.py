@@ -17,12 +17,17 @@ zero gradient, so its lift step is exactly 0.
 Steps are linear-time in the node count.  Barrier iterates are strictly
 feasible, so the returned plan is exactly self-financing.
 
-Dual prices are recovered afterwards by a feasibility linear program:
-minimize the single largest violation of the support conditions
-(price times predecessor portfolio equal to one) and of the dual-cone
-rows ``G[i, j] d_i <= c_j`` across the tree.  The optimal slack is
+Dual prices come afterwards from one backward recursion, with no linear
+program.  The terminal layer prices wealth one step past the horizon;
+above it, each node's price is the least vector meeting the dual-cone
+rows ``G[i, j] d_i <= c_j`` of its incoming step, with ``d`` the
+conditional mean of the prices one step ahead: ``c_j = max_i G[i, j]
+d_i``.  The dual-cone rows then hold exactly.  These prices lie below
+those of any exactly-supporting dual, and the plan's own step gives
+``c . x_parent >= 1``, so the support residual ``|c . x_parent - 1|``
+measures how far the plan is from optimal.  Its largest value is
 reported as ``kkt_residual``; zero certifies the plan globally optimal,
-since any exactly-supporting dual makes every competitor's deflated
+since an exactly-supporting dual makes every competitor's deflated
 wealth a supermartingale.
 
 The stationary solver searches over per-state simplex proportions with a
@@ -30,8 +35,8 @@ seeded multistart pattern search, growth factors being recovered per
 transition as the largest feasible scale toward the destination
 proportions.  Each sweep of the search is one stacked evaluation: every
 feasible move's trial table goes through one boundary-scale call per
-(predecessor, state) pair.  Supporting state prices come from the
-analogous stationary feasibility program.
+(predecessor, state) pair.  Supporting state prices come from a
+stationary feasibility linear program.
 """
 
 from __future__ import annotations
@@ -78,9 +83,9 @@ class TreeSolveResult:
     """Solution of the finite-horizon program.
 
     objective     expected terminal log value, exact tree arithmetic
-    kkt_residual  optimal uniform slack of the dual feasibility program
-                  (0 certifies global optimality); NaN when dual
-                  extraction was skipped
+    kkt_residual  largest support residual ``|p_v . x_parent - 1|`` of
+                  the least dual (0 certifies global optimality); NaN
+                  when dual extraction was skipped
     """
 
     plan: ContingentPlan
@@ -255,18 +260,22 @@ class _TreeProgram:
             raise SolverError("terminal wealth collapsed to zero")
         return float(self.leaf_prob @ np.log(vals))
 
-    def phi(self, Y, mu):
+    def phi(self, Y, mu, vals=None, rows=None):
         """Barrier objective (to minimize); +inf outside the interior.
-        Lift entries of lift-free nodes stay at 1 and add nothing."""
-        vals = (self.leaf_w * Y[self.leaves, :self.n]).sum(axis=1)
+        Lift entries of lift-free nodes stay at 1 and add nothing.
+        ``vals`` (terminal values) and ``rows`` (every group's residual
+        rows) are computed from ``Y`` unless the caller holds them."""
+        if vals is None:
+            vals = (self.leaf_w * Y[self.leaves, :self.n]).sum(axis=1)
         if (vals <= _WEALTH_FLOOR).any():
             return np.inf
         total = -float(self.leaf_prob @ np.log(vals))
         if (Y[1:] <= 0.0).any():
             return np.inf
         total -= mu * float(np.log(Y[1:]).sum())
-        for g in self.groups:
-            r = g.residual_rows(Y)
+        if rows is None:
+            rows = [g.residual_rows(Y) for g in self.groups]
+        for r in rows:
             if (r >= 0.0).any():
                 return np.inf
             total -= mu * float(np.log(-r).sum())
@@ -330,7 +339,7 @@ class _TreeProgram:
         t = min(1.0, 0.99 * t_max)
 
         # Armijo backtracking on the barrier objective
-        base = self.phi(Y, mu)
+        base = self.phi(Y, mu, vals, rows)
         slope = -decrement
         for _ in range(60):
             Yn = Y + t * dY
@@ -406,8 +415,8 @@ def solve_tree_log_optimal(tree: ScenarioTree, cone_table, x0,
     ``objective`` selects the terminal functional: plain wealth or
     liquidation value (selling costs applied at the horizon).  With
     ``extract_dual`` the supporting price system is recovered by the
-    feasibility program described in the module docstring; skip it on
-    large trees where the dense LP would dominate runtime.
+    backward recursion described in the module docstring, at a cost
+    linear in the node count.
 
     Deterministic: no randomness anywhere in the solve.
     """
@@ -451,68 +460,38 @@ def solve_tree_log_optimal(tree: ScenarioTree, cone_table, x0,
     if not extract_dual:
         return TreeSolveResult(plan, None, value, float("nan"), iterations)
 
-    dual, resid = _extract_tree_dual(tree, cone_table, X, prog)
+    dual, resid = _extract_tree_dual(tree, X, prog)
     return TreeSolveResult(plan, dual, value, resid, iterations)
 
 
-def _extract_tree_dual(tree, cone_table, X, prog):
-    """Price system minimizing the largest certificate violation.
+def _extract_tree_dual(tree, X, prog):
+    """Least price system meeting every dual-cone row, leaf to root.
 
-    Variables: one price vector per node of depth >= 1 and a single
-    uniform slack bounding (i) deviations of price-times-predecessor-
-    portfolio from 1 and (ii) dual-cone row violations.  The terminal
-    layer is pinned to the terminal objective gradient w / (w . x_T),
-    which is the exact price of wealth one step past the horizon.
+    The terminal layer is the terminal objective gradient
+    ``w / (w . x_T)``, the exact price of wealth one step past the
+    horizon.  Going up one depth slice at a time, a node's price is
+    ``p_j = max_i G[i, j] e_i``, with ``e`` the node's terminal vector
+    at a leaf and otherwise the conditional mean of its children's
+    prices (one sum over their consecutive ids).  Returns the dual and
+    its largest support residual ``|p_v . x_parent - 1|``.
     """
-    n = prog.n
-    N = tree.n_nodes
-    leaves = tree.leaves()
-    leaf0 = int(leaves[0])
-
-    # terminal vectors
-    term = np.zeros((leaves.size, n))
-    for i in range(leaves.size):
-        w = prog.leaf_w[i]
-        term[i] = w / (w @ X[leaves[i]])
-
-    slack = (N - 1) * n  # node v's prices start at (v - 1) * n
-    nv = slack + 1
-
-    A_rows, b_rows = [], []
-    for v in range(1, N):
-        block = np.zeros((2, nv))
-        block[0, (v - 1) * n: v * n] = X[tree.parent[v]]
-        block[1, (v - 1) * n: v * n] = -X[tree.parent[v]]
-        block[:, slack] = -1.0
-        A_rows.append(block)
-        b_rows.append([1.0, -1.0])
-
-    for v in range(1, N):
-        dr = dual_cone_rows(cone_table.resolve(*tree.transition_label(v)))
-        block = np.zeros((dr.n_rows, nv))
-        block[:, (v - 1) * n: v * n] = dr.F_c
-        block[:, slack] = -1.0
-        if tree.depth[v] == tree.horizon:
-            rhs = -(dr.F_d @ term[v - leaf0])
-        else:
-            rhs = np.zeros(dr.n_rows)
-            for c in tree.children(v):
-                block[:, (c - 1) * n: c * n] += tree.cond_prob[c] * dr.F_d
-        A_rows.append(block)
-        b_rows.append(rhs)
-
-    c = np.zeros(nv)
-    c[slack] = 1.0
-    try:
-        res = lp_solve(c, A_ub=np.vstack(A_rows),
-                       b_ub=np.concatenate(b_rows))
-    except LPError as exc:
-        raise SolverError(f"dual extraction failed: {exc}") from exc
-
-    prices = np.zeros((N, n))
-    prices[1:] = res.x[:slack].reshape(N - 1, n)
-    dual = DualPlan(tree, prices, term)
-    return dual, float(max(res.objective, 0.0))
+    term = prog.leaf_w / (prog.leaf_w * X[prog.leaves]).sum(axis=1)[:, None]
+    prices = np.zeros((tree.n_nodes, prog.n))
+    ds = tree.depth_start
+    e = term
+    for d in range(tree.horizon, 0, -1):
+        lo, hi = ds[d], ds[d + 1]
+        if d < tree.horizon:
+            kids = slice(hi, ds[d + 2])
+            e = np.add.reduceat(tree.cond_prob[kids, None] * prices[kids],
+                                tree.first_child[lo:hi] - hi)
+        for g in prog.groups:
+            i, j = np.searchsorted(g.nodes, (lo, hi))
+            nodes = g.nodes[i:j]
+            prices[nodes] = (g.cone.exchange * e[nodes - lo, :, None]).max(
+                axis=1)
+    support = (prices[1:] * X[tree.parent[1:]]).sum(axis=1)
+    return DualPlan(tree, prices, term), float(np.abs(support - 1.0).max())
 
 
 # ---------------------------------------------------------------------------
