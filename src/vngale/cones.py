@@ -29,15 +29,19 @@ the dual violation in closed form.  The three constructors only differ in
     ``G[i, j] = R_j (1 - lm_j) / (1 + lp_i)`` and ``G[j, j] = R_j``.
 
 ``currency(mu)``
-    Positions are physical units of ``n`` currencies and ``G = mu``
+    Positions are physical units of ``n <= 6`` currencies and ``G = mu``
     (``mu[i, j] > 0`` units of ``i`` per unit of ``j``, ``mu[i, i] == 1``).
 
-When ``G`` factors through cash (the first two families) the cone also
-has budget rows (:attr:`ConeSpec.budget`): one row ``w`` per buy/sell sign
-pattern, de-duplicated, with membership ``w . (b - R * a) <= 0`` for every
-row.  A frictionless cone is its single row of ones.  Membership and
-:func:`boundary_scale` are then exact row computations; cones without
-budget rows use a linear program over ``d``.
+Every cone is also one finite set of facet rows (:attr:`ConeSpec.facets`):
+``(a, b)`` with ``a >= 0`` is a member iff ``D b <= C a`` row-wise.
+When ``G`` factors through cash (the first two families) the rows are
+the budget rows (:attr:`ConeSpec.budget`): one row ``w`` per buy/sell
+sign pattern, ``D = w`` and ``C = w * R``; a frictionless cone is its
+single row of ones.  A currency cone's rows are the extreme rays of its
+dual cone, enumerated once by double description.  Membership,
+:func:`boundary_scale` and the standing-assumption checks are exact row
+computations for every family; no linear program runs here except the
+reference ``dual_violation(method="lp")``.
 
 All cones are closed and convex, contain no short positions, and allow
 free disposal.  Membership tests use a relative tolerance scaled by
@@ -51,7 +55,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .lp import lp_solve, LPInfeasibleError, LPUnboundedError
+from .lp import lp_solve
 
 __all__ = [
     "FRICTIONLESS",
@@ -77,6 +81,11 @@ __all__ = [
 FRICTIONLESS = "frictionless"
 PROPORTIONAL_TC = "proportional_tc"
 CURRENCY = "currency"
+
+# A generic n-currency cone has sum_s C(n, s) C(s + n - 2, s - 1) facet
+# rows, about five times more per currency: 2364 at n = 6, 12642 at
+# n = 7.  The tree barrier carries all of them on every edge.
+MAX_CURRENCIES = 6
 
 
 def _readonly(a) -> np.ndarray:
@@ -138,6 +147,9 @@ class ConeSpec:
             raise ValueError("exchange rates must be finite and positive")
         if not np.allclose(np.diag(m), 1.0, rtol=0, atol=1e-12):
             raise ValueError("diagonal exchange rates must equal 1")
+        if m.shape[0] > MAX_CURRENCIES:
+            raise ValueError(f"currency cones take at most {MAX_CURRENCIES} "
+                             f"currencies, got {m.shape[0]}")
         return cls(CURRENCY, m.shape[0], mu=m)
 
     @cached_property
@@ -181,6 +193,22 @@ class ConeSpec:
         rows[:, k] = np.where(bits, buy[k], sell[k])
         return _readonly(rows)
 
+    @cached_property
+    def facets(self) -> tuple[np.ndarray, np.ndarray]:
+        """Facet rows ``(C, D)``: ``(a, b)`` with ``a >= 0`` is a member
+        iff ``D b <= C a`` row-wise.
+
+        Budget rows give ``C = budget * returns`` and ``D = budget``.  A
+        currency cone's rows are the extreme rays ``(c, d)`` of its dual
+        cone with ``d != 0``, scaled to ``sum d = 1``, and
+        ``c_j = max_i G[i, j] d_i``.
+        """
+        if self.budget is not None:
+            return _readonly(self.budget * self.returns), self.budget
+        D = _dual_ray_rows(self.exchange)
+        return (_readonly((D[:, :, None] * self.exchange).max(axis=1)),
+                _readonly(D))
+
     def to_dict(self) -> dict:
         if self.family == FRICTIONLESS:
             return {"family": self.family, "returns": self.returns.tolist()}
@@ -206,6 +234,48 @@ class ConeSpec:
         raise ValueError(f"unknown cone family: {fam!r}")
 
 
+def _dual_ray_rows(G) -> np.ndarray:
+    """``d`` of each extreme ray ``(c, d)``, ``d != 0``, of the dual cone
+    ``{(c, d) >= 0 : G[i, j] d_i <= c_j}``, scaled to ``sum d = 1``.
+
+    Double description (Fukuda & Prodon, 1996): start from the unit rays
+    of the orthant in R^2n and add the rows ``G[i, j] d_i - c_j <= 0``
+    one at a time.  Rays on a row's feasible side stay; each adjacent
+    pair of a violating and a feasible ray is joined by the ray on which
+    the row is tight.  Two rays are adjacent when no third ray is tight
+    on every constraint that both are tight on.
+    """
+    n = G.shape[0]
+    rays = np.eye(2 * n)  # columns: c, then d
+    # tight[r, k]: ray r has coordinate k at 0 (k < 2n) or meets row
+    # k - 2n with equality
+    tight = np.zeros((2 * n, 2 * n + n * n), dtype=bool)
+    tight[:, :2 * n] = rays == 0
+    tol = 1e-12 * max(1.0, float(G.max()))
+    for t, (i, j) in enumerate(np.ndindex(n, n)):
+        s = G[i, j] * rays[:, n + i] - rays[:, j]
+        pos, neg = s > tol, s < -tol
+        P, M = np.flatnonzero(pos), np.flatnonzero(neg)
+        T = tight.astype(float)
+        # adjacent rays of a 2n-dimensional cone share >= 2n - 2 tight
+        # constraints; the exact test counts the rays covering the
+        # shared set, which must be the pair alone
+        ip, im = np.nonzero(T[P] @ T[M].T >= 2 * n - 2)
+        common = tight[P[ip]] & tight[M[im]]
+        adjacent = ((common @ (1.0 - T).T) == 0).sum(axis=1) == 2
+        p, m = P[ip[adjacent]], M[im[adjacent]]
+        new = s[p, None] * rays[m] - s[m, None] * rays[p]
+        tight[~neg, 2 * n + t] = True
+        joined = common[adjacent]
+        joined[:, 2 * n + t] = True
+        rays = np.vstack([rays[~pos], new / new.sum(axis=1, keepdims=True)])
+        tight = np.vstack([tight[~pos], joined])
+    D = rays[rays[:, n:].sum(axis=1) > tol, n:]
+    D /= D.sum(axis=1, keepdims=True)
+    first = np.unique(np.round(D, 12), axis=0, return_index=True)[1]
+    return D[np.sort(first)]
+
+
 def _check_pair(cone: ConeSpec, a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -223,44 +293,15 @@ def _check_pair(cone: ConeSpec, a, b):
 def membership_residual(cone: ConeSpec, a, b) -> float:
     """Scaled membership residual of ``(a, b)``.
 
-    Nonpositive (or below the working tolerance) means member.  With
-    budget rows the value is the largest row slack ``w . (b - R * a)``
-    divided by ``1 + |a| + |b|``; otherwise it is the smallest uniform
-    delivery shortfall obtainable by any exchange matrix, likewise scaled,
-    so it is zero (never negative) on members.
+    The largest signed facet-row slack ``D b - C a`` divided by
+    ``1 + |a| + |b|``, for every family.  Nonpositive (or below the
+    working tolerance) means member.  On currency rows (``sum D = 1``)
+    a positive value is the smallest uniform shortfall ``s`` that makes
+    ``(a, b - s)`` a member, likewise scaled.
     """
     a, b = _check_pair(cone, a, b)
-    scale = 1.0 + a.sum() + b.sum()
-    if cone.budget is None:
-        return _exchange_shortfall(cone, a, b) / scale
-    return float((cone.budget @ (b - cone.returns * a)).max()) / scale
-
-
-def _exchange_rows(G):
-    """Availability and delivery rows over a flattened exchange matrix.
-
-    With ``d`` the row-major flattening of the exchange matrix,
-    ``avail @ d`` is what each asset ships (``sum_i d[i, j]``) and
-    ``deliver @ d`` what each asset receives (``sum_j G[i, j] d[i, j]``).
-    """
-    n = G.shape[0]
-    avail = np.tile(np.eye(n), (1, n))
-    deliver = (np.eye(n)[:, :, None] * G[None, :, :]).reshape(n, n * n)
-    return avail, deliver
-
-
-def _exchange_shortfall(cone: ConeSpec, a, b) -> float:
-    """Smallest uniform shortfall s >= 0 such that some exchange matrix
-    delivers ``b - s`` from ``a``.  Zero iff (a, b) is a member."""
-    n = cone.n
-    avail, deliver = _exchange_rows(cone.exchange)
-    # variables: d (row-major) then s
-    A_ub = np.block([[avail, np.zeros((n, 1))],
-                     [-deliver, -np.ones((n, 1))]])
-    c = np.zeros(n * n + 1)
-    c[-1] = 1.0
-    res = lp_solve(c, A_ub=A_ub, b_ub=np.concatenate([a, -b]))
-    return max(res.objective, 0.0)
+    C, D = cone.facets
+    return float((D @ b - C @ a).max()) / (1.0 + a.sum() + b.sum())
 
 
 def contains(cone: ConeSpec, a, b, tol: float = 1e-9) -> bool:
@@ -276,12 +317,10 @@ def contains(cone: ConeSpec, a, b, tol: float = 1e-9) -> bool:
 def boundary_scale(cone: ConeSpec, a, direction) -> float:
     """Largest ``t >= 0`` with ``(a, t * direction)`` in the cone.
 
-    Free disposal makes the feasible set of ``t`` an interval ``[0, t*]``.
-    With budget rows ``t*`` is exact: the smallest ratio
-    ``w . (R * a) / w . direction`` over the rows with positive load.
-    Otherwise one linear program maximizes ``t`` directly.  Takes one
-    pair of vectors; the unchecked :func:`_boundary_scale` also takes
-    stacks of pairs.
+    Free disposal makes the feasible set of ``t`` an interval ``[0, t*]``,
+    and ``t*`` is exact: the smallest ratio ``C a / D direction`` over
+    the facet rows with positive load.  Takes one pair of vectors; the
+    unchecked :func:`_boundary_scale` also takes stacks of pairs.
     """
     a, d = _check_pair(cone, a, direction)
     if d.sum() <= 0.0:
@@ -294,43 +333,20 @@ def _boundary_scale(cone: ConeSpec, a, d):
 
     ``a`` and ``d`` have the same shape, ``(n,)`` for one pair (the
     result is a float) or ``(M, n)`` for a stack of ``M`` pairs (the
-    result is an ``(M,)`` array).  Budget rows handle a whole stack in
-    one row-ratio computation; cones without them solve one linear
-    program per pair.  Each pair's value does not depend on the stack
-    it sits in.
+    result is an ``(M,)`` array), handled in one row-ratio computation.
+    Each pair's value does not depend on the stack it sits in.
     """
-    rows = cone.budget
-    if rows is None:
-        n = cone.n
-        t = np.array([_exchange_scale(cone, ai, di) for ai, di in
-                      zip(a.reshape(-1, n), d.reshape(-1, n))])
-        t = t.reshape(a.shape[:-1])
-    else:
-        # one matrix-vector product per pair, as for a single pair, so
-        # a pair's loads do not depend on the stack
-        load = (rows @ d[..., None])[..., 0]
-        cap = (rows @ (cone.returns * a)[..., None])[..., 0]
-        # rows without load never bind: their NaN ratio is skipped
+    C, D = cone.facets
+    # one matrix-vector product per pair, as for a single pair, so a
+    # pair's loads do not depend on the stack
+    load = (D @ d[..., None])[..., 0]
+    cap = (C @ a[..., None])[..., 0]
+    # rows without load never bind: their NaN ratio is skipped; a tiny
+    # load may overflow the ratio to inf, which is its value
+    with np.errstate(over="ignore"):
         t = np.fmin.reduce(cap / np.where(load > 0.0, load, np.nan),
                            axis=-1, initial=np.inf)
     return float(t) if t.ndim == 0 else t
-
-
-def _exchange_scale(cone: ConeSpec, a, d) -> float:
-    """Boundary scale of one pair by the exchange linear program."""
-    n = cone.n
-    avail, deliver = _exchange_rows(cone.exchange)
-    # variables: d-matrix (row-major) then t
-    A_ub = np.block([[avail, np.zeros((n, 1))],
-                     [-deliver, d[:, None]]])
-    c = np.zeros(n * n + 1)
-    c[-1] = 1.0
-    try:
-        res = lp_solve(c, A_ub=A_ub, b_ub=np.concatenate([a, np.zeros(n)]),
-                       maximize=True)
-    except LPUnboundedError:
-        return np.inf
-    return max(res.objective, 0.0)
 
 
 def max_alpha(cone: ConeSpec, x) -> float:
@@ -351,26 +367,15 @@ def max_alpha(cone: ConeSpec, x) -> float:
 
 @dataclass(frozen=True)
 class DualConeRows:
-    """Linear description of dual-cone membership.
-
-    ``(c, d)`` lies in the dual cone iff there exist ``lift >= 0`` with
-
-        F_c @ c + F_d @ d + F_lift @ lift <= 0   (row-wise).
-
-    No family needs a lift: ``F_lift`` always has zero columns.
-    """
+    """Linear description of dual-cone membership: ``(c, d)`` lies in
+    the dual cone iff ``F_c @ c + F_d @ d <= 0`` row-wise."""
 
     F_c: np.ndarray
     F_d: np.ndarray
-    F_lift: np.ndarray
 
     @property
     def n_rows(self) -> int:
         return self.F_c.shape[0]
-
-    @property
-    def n_lift(self) -> int:
-        return self.F_lift.shape[1]
 
 
 def dual_cone_rows(cone: ConeSpec) -> DualConeRows:
@@ -385,7 +390,7 @@ def dual_cone_rows(cone: ConeSpec) -> DualConeRows:
     F_c = -np.tile(np.eye(n), (n, 1))
     F_d = np.zeros((n * n, n))
     F_d[np.arange(n * n), np.repeat(np.arange(n), n)] = cone.exchange.ravel()
-    return DualConeRows(F_c, F_d, np.zeros((n * n, 0)))
+    return DualConeRows(F_c, F_d)
 
 
 def dual_violation(cone: ConeSpec, c, d, method: str = "auto") -> float:
@@ -413,10 +418,13 @@ def dual_violation(cone: ConeSpec, c, d, method: str = "auto") -> float:
         vals = (G * d[:, None] - c[None, :]) / (1.0 + G)
         return max(float((-c).max()), float(vals.max()))
 
-    # maximize d.b - c.a over the slice; variables a, b, exchange matrix
+    # maximize d.b - c.a over the slice; variables a, b and the
+    # row-major exchange matrix x: asset j ships sum_i x[i, j] <= a_j,
+    # asset i receives b_i <= sum_j G[i, j] x[i, j]
     n = cone.n
-    avail, deliver = _exchange_rows(G)
     eye, zero = np.eye(n), np.zeros((n, n))
+    avail = np.tile(eye, (1, n))
+    deliver = (eye[:, :, None] * G[None, :, :]).reshape(n, n * n)
     A_ub = np.block([[-eye, zero, avail], [zero, eye, -deliver]])
     A_eq = np.concatenate([np.ones(2 * n), np.zeros(n * n)])[None, :]
     res = lp_solve(np.concatenate([-c, d, np.zeros(n * n)]), A_ub=A_ub,
@@ -544,13 +552,6 @@ def _uniform_bound(cone: ConeSpec) -> float:
     return float(cone.n * cone.mu.max())
 
 
-def _unit_growth(cone: ConeSpec, i: int) -> float:
-    """Largest gamma with (e_i, gamma * ones) in the cone."""
-    e = np.zeros(cone.n)
-    e[i] = 1.0
-    return boundary_scale(cone, e, np.ones(cone.n))
-
-
 @dataclass
 class ValidationReport:
     """Outcome of the standing-assumption checks on a cone table.
@@ -562,7 +563,7 @@ class ValidationReport:
     g3_ok   some strictly positive bundle is reachable from every unit
             portfolio (implied by g5)
     g4_ok   free disposal: raising holdings or lowering targets preserves
-            membership; decided exactly: budget rows must be nonnegative
+            membership; decided exactly: facet rows need ``D >= 0``
     g5_ok   every unit portfolio can be rebalanced into a positive
             multiple of the all-ones bundle (gamma > 0)
     M_bound largest closed-form bound M over the table (largest return,
@@ -602,13 +603,11 @@ def validate_assumptions(cone_table, samples: int = 200, seed: int = 0,
                          tol: float = 1e-9) -> ValidationReport:
     """Check the standing assumptions on every cone in the table.
 
-    Every condition is decided exactly, without sampling: g1 by
-    membership of ``(e_i, 0)`` on the budget rows (the zero exchange
-    matrix ships it in every exchange cone), g2 on the generating rays
-    ``(e_j, G[i, j] e_i)`` (so ``G.max() <= M``), g4 on the budget rows
-    (the exchange program disposes freely by construction), g5 by the
-    unit growth factors.  A currency cone costs ``n`` linear programs,
-    one per unit growth factor.
+    Every condition is decided exactly on the facet rows ``(C, D)`` and
+    the exchange matrix ``G``, without sampling and without a linear
+    program: g1 by membership of ``(e_i, 0)``, g2 on the generating
+    rays ``(e_j, G[i, j] e_i)`` (so ``G.max() <= M``), g4 by the sign of
+    ``D``, g5 by the unit growth factors, one stacked boundary scale.
     ``samples`` and ``seed`` are unused.  Returns a report; callers
     decide whether a failed report is fatal.
     """
@@ -620,18 +619,17 @@ def validate_assumptions(cone_table, samples: int = 200, seed: int = 0,
 
     for key, cone in items:
         label = "->".join(key) if isinstance(key, tuple) else str(key)
-        # the zero exchange matrix ships (e_i, 0) in every exchange
-        # cone; only budget rows need a check
-        units = np.eye(cone.n) if cone.budget is not None else ()
-        for i, e in enumerate(units):
-            if not contains(cone, e, np.zeros(cone.n), tol):
+        n = cone.n
+        for i, e in enumerate(np.eye(n)):
+            if not contains(cone, e, np.zeros(n), tol):
                 g1_ok = False
                 violations.append({"condition": "g1", "cone": label,
                                    "witness": {"unit": i}})
         M = _uniform_bound(cone)
         M_bound = max(M_bound, M)
-        growths = [_unit_growth(cone, i) for i in range(cone.n)]
-        g = min(growths)
+        # largest gamma with (e_i, gamma * ones) in the cone, per unit i
+        growths = _boundary_scale(cone, np.eye(n), np.ones((n, n)))
+        g = float(growths.min())
         if g <= 1e-12:
             g5_ok = False
             violations.append({
@@ -645,9 +643,10 @@ def validate_assumptions(cone_table, samples: int = 200, seed: int = 0,
             g2_ok = False
             violations.append({"condition": "g2", "cone": label, "witness": {
                 "ray": [int(j), int(i)], "rate": float(G[i, j]), "M": M}})
-        if cone.budget is not None and (cone.budget < 0).any():
+        D = cone.facets[1]
+        if (D < 0).any():
             g4_ok = False
-            row = int(np.argmax((cone.budget < 0).any(axis=1)))
+            row = int(np.argmax((D < 0).any(axis=1)))
             violations.append({"condition": "g4", "cone": label,
                                "witness": {"row": row}})
 

@@ -1,19 +1,15 @@
 """Log-optimal plans on scenario trees and stationary balanced strategies.
 
 The tree solver maximizes expected terminal log value over self-financing
-plans.  Every tree edge gets linear inequality rows from its cone: the
-cone's budget rows when it has them (``w . b <= w . (R * a)``), otherwise
-availability and delivery rows over an ``n * n`` exchange-matrix lift
-built from the exchange matrix ``G``.  The feasible set is polyhedral and
+plans.  Every tree edge gets its cone's facet rows ``D b <= C a`` as
+linear inequalities, the same rows for every family, so a node's
+variables are its portfolio alone.  The feasible set is polyhedral and
 the program is concave with a tree-structured Hessian.  It is solved by a
 log-barrier interior-point method.  Each Newton system is assembled with
 one matrix product per group of edges sharing a cone, and eliminated
 leaf-to-root over the breadth-first node ids: a depth is one id slice,
 each node's block couples only its parent, and what a node receives
-from its children is one sum over their consecutive ids.  Every node
-carries the same number of variables, its portfolio plus the widest
-lift in the tree; a lift-free node gets an identity lift block and a
-zero gradient, so its lift step is exactly 0.
+from its children is one sum over their consecutive ids.
 Steps are linear-time in the node count.  Barrier iterates are strictly
 feasible, so the returned plan is exactly self-financing.
 
@@ -51,7 +47,6 @@ from .cones import (
     FRICTIONLESS,
     ConeSpec,
     _boundary_scale,
-    _exchange_rows,
     boundary_scale,  # not called here; perfbench/tracing.py wraps it
     dual_cone_rows,
     validate_assumptions,
@@ -141,18 +136,10 @@ class EquilibriumResult:
 
 
 def _edge_matrices(cone: ConeSpec):
-    """Linear rows ``Fa.a + Fv.(b, lift) <= 0`` describing cone membership.
-
-    ``Fv`` covers the node's portfolio ``b`` and, for cones without budget
-    rows, the flattened exchange-matrix lift.  All rows are homogeneous.
-    """
-    if cone.budget is not None:
-        return -cone.budget * cone.returns, cone.budget
-    n = cone.n
-    avail, deliver = _exchange_rows(cone.exchange)
-    eye, zero = np.eye(n), np.zeros((n, n))
-    return (np.vstack([-eye, zero]),
-            np.block([[zero, avail], [eye, -deliver]]))
+    """Linear rows ``Fa.a + Fv.b <= 0`` describing cone membership: the
+    facet rows, ``(-C, D)``."""
+    C, D = cone.facets
+    return -C, D
 
 
 class _EdgeGroup:
@@ -166,16 +153,13 @@ class _EdgeGroup:
         self.nodes = np.asarray(nodes, dtype=int)
         self.parents = np.asarray(parents, dtype=int)
         self.Fa, self.Fv = _edge_matrices(cone)
-        self.n = cone.n
-        self.k = self.Fv.shape[1]  # node variables the rows touch
         r = self.Fa.shape[0]
         self.FaFa = (self.Fa[:, :, None] * self.Fa[:, None, :]).reshape(r, -1)
         self.FvFv = (self.Fv[:, :, None] * self.Fv[:, None, :]).reshape(r, -1)
         self.FvFa = (self.Fv[:, :, None] * self.Fa[:, None, :]).reshape(r, -1)
 
     def residual_rows(self, Y):
-        return (Y[self.parents, :self.n] @ self.Fa.T
-                + Y[self.nodes, :self.k] @ self.Fv.T)
+        return Y[self.parents] @ self.Fa.T + Y[self.nodes] @ self.Fv.T
 
 
 def _edge_groups(tree: ScenarioTree, cone_table):
@@ -195,37 +179,24 @@ def _edge_groups(tree: ScenarioTree, cone_table):
     return groups
 
 
-def _interior_start(tree, groups, x0, m):
-    """Strictly feasible state ``(x, lift)`` per node, one depth at a
-    time: roll half the boundary scale toward the all-ones direction at
-    every edge; exchange lifts spread positive mass over all entries,
-    and lift-free nodes keep lift entries of 1."""
-    n = x0.size
-    Y = np.ones((tree.n_nodes, m))
-    Y[0, :n] = x0
-    diag = np.arange(n)
+def _interior_start(tree, groups, x0):
+    """Strictly feasible plan, one depth at a time: roll half the
+    boundary scale toward the all-ones direction at every edge."""
+    Y = np.empty((tree.n_nodes, x0.size))
+    Y[0] = x0
     for d in range(1, tree.horizon + 1):
         lo, hi = tree.depth_start[d], tree.depth_start[d + 1]
         t = np.empty(hi - lo)
         for g in groups:
             i, j = np.searchsorted(g.nodes, (lo, hi))
-            nodes = g.nodes[i:j]
-            a = Y[g.parents[i:j], :n]
-            if g.cone.budget is None:
-                lift = np.repeat(0.3 * a / max(n - 1, 1), n,
-                                 axis=0).reshape(-1, n, n)
-                lift[:, diag, diag] = 0.5 * a
-                t[nodes - lo] = 0.4 * (g.cone.exchange * lift).sum(
-                    axis=2).min(axis=1)
-                Y[nodes, n:] = lift.reshape(nodes.size, -1)
-            else:
-                t[nodes - lo] = 0.5 * _boundary_scale(g.cone, a,
-                                                      np.ones_like(a))
+            a = Y[g.parents[i:j]]
+            t[g.nodes[i:j] - lo] = 0.5 * _boundary_scale(g.cone, a,
+                                                         np.ones_like(a))
         bad = np.flatnonzero(t <= 0)
         if bad.size:
             raise SolverError("cannot construct interior start "
                               f"(zero growth at node {lo + bad[0]})")
-        Y[lo:hi, :n] = t[:, None]
+        Y[lo:hi] = t[:, None]
     return Y
 
 
@@ -234,21 +205,18 @@ def _interior_start(tree, groups, x0, m):
 
 
 class _TreeProgram:
-    """Barrier program over the node states ``Y = (x, lift)``."""
+    """Barrier program over the plan ``Y``, one portfolio per node."""
 
     def __init__(self, tree, cone_table, x0, objective):
         self.tree = tree
         self.n = cone_table.n
         self.groups = _edge_groups(tree, cone_table)
-        self.m = max(g.k for g in self.groups)
-        self.lift_free = np.ones(tree.n_nodes, dtype=bool)
         # non-leaf nodes are the ids below the last depth
         self.n_inner = int(tree.depth_start[tree.horizon])
         self.leaves = tree.leaves()
         self.leaf_prob = tree.abs_prob[self.leaves]
         W = np.zeros((self.leaves.size, self.n))
         for g in self.groups:
-            self.lift_free[g.nodes] = g.k == self.n
             at_leaf = g.nodes[g.nodes >= self.n_inner]
             W[at_leaf - self.n_inner] = wealth_weights(g.cone, objective)
         self.leaf_w = W
@@ -262,11 +230,10 @@ class _TreeProgram:
 
     def phi(self, Y, mu, vals=None, rows=None):
         """Barrier objective (to minimize); +inf outside the interior.
-        Lift entries of lift-free nodes stay at 1 and add nothing.
         ``vals`` (terminal values) and ``rows`` (every group's residual
         rows) are computed from ``Y`` unless the caller holds them."""
         if vals is None:
-            vals = (self.leaf_w * Y[self.leaves, :self.n]).sum(axis=1)
+            vals = (self.leaf_w * Y[self.leaves]).sum(axis=1)
         if (vals <= _WEALTH_FLOOR).any():
             return np.inf
         total = -float(self.leaf_prob @ np.log(vals))
@@ -284,42 +251,38 @@ class _TreeProgram:
     def newton_step(self, Y, mu):
         """One damped Newton step on the barrier; returns the updated
         state and the Newton decrement."""
-        n, m = self.n, self.m
+        n = self.n
         N = Y.shape[0]
-        G = np.zeros((N, m))
-        H = np.zeros((N, m, m))
-        CP = np.zeros((N, m, n))  # rows: own variables, cols: parent x
+        G = np.zeros((N, n))
+        H = np.zeros((N, n, n))
+        CP = np.zeros((N, n, n))  # rows: own variables, cols: parent x
         # each edge's parent-side terms, stored at its child
         PG, PH = np.zeros((N, n)), np.zeros((N, n * n))
 
-        # coordinate barriers; lift-free nodes get an identity lift block
-        idx = np.arange(m)
+        # coordinate barriers
+        idx = np.arange(n)
         G[1:] -= mu / Y[1:]
         H[1:, idx, idx] += mu / Y[1:] ** 2
-        G[self.lift_free, n:] = 0.0
-        H[self.lift_free, n:, n:] = np.eye(m - n)
 
         # terminal objective
-        vals = (self.leaf_w * Y[self.leaves, :n]).sum(axis=1)
-        G[self.leaves, :n] += (-self.leaf_prob / vals)[:, None] * self.leaf_w
-        H[self.leaves, :n, :n] += (self.leaf_prob / vals ** 2)[:, None, None] \
+        vals = (self.leaf_w * Y[self.leaves]).sum(axis=1)
+        G[self.leaves] += (-self.leaf_prob / vals)[:, None] * self.leaf_w
+        H[self.leaves] += (self.leaf_prob / vals ** 2)[:, None, None] \
             * self.leaf_ww
 
         rows = [g.residual_rows(Y) for g in self.groups]
         for g, r in zip(self.groups, rows):
             u = 1.0 / (-r)  # positive
             w = mu * u ** 2
-            k = g.k
             PG[g.nodes] = mu * (u @ g.Fa)
             PH[g.nodes] = w @ g.FaFa
-            G[g.nodes, :k] += mu * (u @ g.Fv)
-            H[g.nodes, :k, :k] += (w @ g.FvFv).reshape(-1, k, k)
-            CP[g.nodes, :k] = (w @ g.FvFa).reshape(-1, k, n)
+            G[g.nodes] += mu * (u @ g.Fv)
+            H[g.nodes] += (w @ g.FvFv).reshape(-1, n, n)
+            CP[g.nodes] = (w @ g.FvFa).reshape(-1, n, n)
         # each non-leaf node has >= 1 child: no reduceat range is empty
         starts = self.tree.first_child[:self.n_inner] - 1
-        G[:self.n_inner, :n] += np.add.reduceat(PG[1:], starts)
-        H[:self.n_inner, :n, :n] += np.add.reduceat(
-            PH[1:], starts).reshape(-1, n, n)
+        G[:self.n_inner] += np.add.reduceat(PG[1:], starts)
+        H[:self.n_inner] += np.add.reduceat(PH[1:], starts).reshape(-1, n, n)
 
         dY, decrement = self._solve_kkt_by_depth(G, H, CP)
         if decrement <= 0:
@@ -358,10 +321,10 @@ class _TreeProgram:
         complement of each child goes to its parent in the depth
         ``d-1`` slice as one sum over consecutive child ranges.
         """
-        tree, n = self.tree, self.n
-        N, m = G.shape
+        tree = self.tree
+        N, n = G.shape
         ds, first_child = tree.depth_start, tree.first_child
-        idx = np.arange(m)
+        idx = np.arange(n)
         # relative ridge: value-flat directions (a leaf cares only
         # about total wealth) otherwise drive the block singular as
         # the barrier weight vanishes
@@ -370,7 +333,7 @@ class _TreeProgram:
         g0 = G.copy()
 
         # per node: [H^-1 g | H^-1 CP], the step given the parent's
-        sol = np.zeros((N, m, n + 1))
+        sol = np.zeros((N, n, n + 1))
         for d in range(tree.horizon, 0, -1):
             vs = slice(ds[d], ds[d + 1])
             try:
@@ -384,14 +347,14 @@ class _TreeProgram:
                 schur = np.add.reduceat(
                     CP[vs].transpose(0, 2, 1) @ sol[vs],
                     first_child[ps] - ds[d])
-                G[ps, :n] -= schur[:, :, 0]
-                H[ps, :n, :n] -= schur[:, :, 1:]
+                G[ps] -= schur[:, :, 0]
+                H[ps] -= schur[:, :, 1:]
 
-        delta = np.zeros((N, m))
+        delta = np.zeros((N, n))
         for d in range(1, tree.horizon + 1):
             vs = slice(ds[d], ds[d + 1])
             delta[vs] = -(sol[vs, :, 0] + (
-                sol[vs, :, 1:] @ delta[tree.parent[vs], :n, None])[:, :, 0])
+                sol[vs, :, 1:] @ delta[tree.parent[vs], :, None])[:, :, 0])
         decrement = -float(np.einsum("vi,vi->", g0[1:], delta[1:]))
         return delta, decrement
 
@@ -431,14 +394,14 @@ def solve_tree_log_optimal(tree: ScenarioTree, cone_table, x0,
     _require_assumptions(cone_table)
 
     prog = _TreeProgram(tree, cone_table, x0, objective)
-    Y = _interior_start(tree, prog.groups, x0, prog.m)
+    X = _interior_start(tree, prog.groups, x0)
 
     iterations = 0
     mu = 1.0
     while True:
         stage_tol = max(1e-13, 1e-3 * mu)
         for _ in range(40):
-            Y, dec = prog.newton_step(Y, mu)
+            X, dec = prog.newton_step(X, mu)
             iterations += 1
             if dec / 2.0 <= stage_tol:
                 break
@@ -446,14 +409,13 @@ def solve_tree_log_optimal(tree: ScenarioTree, cone_table, x0,
             break
         mu = max(mu * 0.1, mu_final * (1.0 - 1e-12))
 
-    X = Y[:, :n]
     plan = ContingentPlan(tree, X, units=(
         "physical" if any(g.cone.family == CURRENCY for g in prog.groups)
         else "market"))
     value = prog.objective_value(X)
 
     # feasibility audit: barrier iterates must be strictly inside
-    worst = max(float(g.residual_rows(Y).max()) for g in prog.groups)
+    worst = max(float(g.residual_rows(X).max()) for g in prog.groups)
     if worst > 1e-8:
         raise SolverError(f"plan left the feasible set: residual {worst}")
 

@@ -50,7 +50,7 @@ def currency():
 
 
 def mixed():
-    # currency lifts on U edges, lift-free budget rows on D edges
+    # currency facet rows on U edges, budget rows on D edges
     return ConeTable({"*->U": ConeSpec.currency(MU),
                       "*->D": ConeSpec.proportional_tc([1.0, 0.7], 0.01,
                                                        0.02)})
@@ -150,25 +150,18 @@ def test_edge_groups_partition_by_resolved_cone(name, tree, table):
     assert len({id(g.cone) for g in groups}) == len(groups)
 
 
-def _interior_start_by_node(tree, table, x0, m):
+def _interior_start_by_node(tree, table, x0):
     n = x0.size
-    Y = np.ones((tree.n_nodes, m))
-    Y[0, :n] = x0
+    Y = np.ones((tree.n_nodes, n))
+    Y[0] = x0
     ones = np.ones(n)
     for v in range(1, tree.n_nodes):
         cone = table.resolve(*tree.transition_label(v))
-        a = Y[tree.parent[v], :n]
-        if cone.budget is None:
-            d = np.tile(0.3 * a / max(n - 1, 1), (n, 1))
-            np.fill_diagonal(d, 0.5 * a)
-            t = 0.4 * (cone.exchange * d).sum(axis=1).min()
-            Y[v, n:] = d.ravel()
-        else:
-            t = 0.5 * boundary_scale(cone, a, ones)
+        t = 0.5 * boundary_scale(cone, Y[tree.parent[v]], ones)
         if t <= 0:
             raise SolverError("cannot construct interior start "
                               f"(zero growth at node {v})")
-        Y[v, :n] = t * ones
+        Y[v] = t * ones
     return Y
 
 
@@ -176,13 +169,9 @@ def _interior_start_by_node(tree, table, x0, m):
 def test_interior_start_matches_the_loop(name, tree, table):
     x0 = x0_for(table)
     groups = _edge_groups(tree, table)
-    m = max(g.k for g in groups)
-    Y = _interior_start(tree, groups, x0, m)
-    ref = _interior_start_by_node(tree, table, x0, m)
-    if all(g.cone.budget is not None for g in groups):
-        assert np.array_equal(Y, ref)
-    else:
-        np.testing.assert_allclose(Y, ref, rtol=1e-15, atol=0)
+    Y = _interior_start(tree, groups, x0)
+    ref = _interior_start_by_node(tree, table, x0)
+    assert np.array_equal(Y, ref)
     assert (Y[1:] > 0).all()
     for g in groups:
         assert (g.residual_rows(Y) < 0).all()
@@ -197,9 +186,9 @@ def test_zero_growth_names_the_first_failing_node():
     for tree in (build_tree(COIN, 2), build_tree(COIN, 3, root_state="U")):
         x0 = np.array([1.0, 0.0])
         with pytest.raises(SolverError) as ref:
-            _interior_start_by_node(tree, table, x0, 2)
+            _interior_start_by_node(tree, table, x0)
         with pytest.raises(SolverError) as got:
-            _interior_start(tree, _edge_groups(tree, table), x0, 2)
+            _interior_start(tree, _edge_groups(tree, table), x0)
         assert str(got.value) == str(ref.value)
         assert "at node 2)" in str(got.value)
 
@@ -260,7 +249,7 @@ def _dense_newton(tree, table, Y, mu, objective, m):
 def test_newton_direction_matches_dense_solve(name, tree, table, objective):
     x0 = x0_for(table)
     prog = _TreeProgram(tree, table, x0, objective)
-    Y = _interior_start(tree, prog.groups, x0, prog.m)
+    Y = _interior_start(tree, prog.groups, x0)
     solve_by_depth = prog._solve_kkt_by_depth
     steps = []
 
@@ -276,7 +265,7 @@ def test_newton_direction_matches_dense_solve(name, tree, table, objective):
             dY, dec_tree = steps[-1]
             assert dec == dec_tree
             ref, ref_dec = _dense_newton(tree, table, Y, mu, objective,
-                                         prog.m)
+                                         table.n)
             assert np.abs(dY[0]).max() == 0.0
             scale = np.abs(ref).max()
             assert np.abs(dY[1:] - ref).max() <= 1e-9 * scale

@@ -4,14 +4,22 @@
 least vector meeting the dual-cone rows of its step.  The dense program
 it replaced, kept below as the reference, minimizes one uniform slack
 over the support rows ``p_v . x_parent = 1`` and the dual-cone rows of
-every node at once.  Any exact dual lies above the recursion's prices,
-so on a solved plan the two price systems agree up to the plan's
-support error, and the recursion's support residual bounds the LP's
-optimal slack from above.
+every node at once.  A second program pins the reference to the least
+of those optimal price systems: a price the support rows leave free
+(its asset is all but absent from the parent's portfolio) would
+otherwise take any value the dual-cone rows allow.  Any exact dual lies
+above the recursion's prices, so on a solved plan the two price systems
+agree up to the plan's support error, and the recursion's support
+residual bounds the LP's optimal slack from above.
+
+Both programs run on scipy's HiGHS: the package's dense simplex fails
+on them (an unbounded or cycling report on the second, a failed final
+basis check on the first for some plans).
 """
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 import vngale.solver
 from vngale.certify import check_rapid
@@ -21,10 +29,10 @@ from vngale.cones import (
     dual_cone_rows,
     dual_violation,
 )
-from vngale.lp import LPError, lp_solve
+from vngale.lp import lp_solve
 from vngale.plans import DualPlan
 from vngale.scenario import MarkovSpec, build_tree
-from vngale.solver import SolverError, _TreeProgram, solve_tree_log_optimal
+from vngale.solver import _TreeProgram, solve_tree_log_optimal
 
 COIN = MarkovSpec(["U", "D"], [[0.5, 0.5], [0.5, 0.5]])
 # zero-probability transitions: A has 2 children, B one, C three
@@ -99,13 +107,16 @@ IDS = [c[0] for c in CASES]
 
 
 def _lp_tree_dual(tree, cone_table, X, prog):
-    """Price system minimizing the largest certificate violation.
+    """Least price system minimizing the largest certificate violation.
 
     Variables: one price vector per node of depth >= 1 and a single
     uniform slack bounding (i) deviations of price-times-predecessor-
     portfolio from 1 and (ii) dual-cone row violations.  The terminal
     layer is pinned to the terminal objective gradient w / (w . x_T),
-    which is the exact price of wealth one step past the horizon.
+    which is the exact price of wealth one step past the horizon.  The
+    first program finds the optimal slack ``s``; the second minimizes
+    the sum of prices with the slack capped at ``s (1 + 1e-6) + 1e-14``.
+    Returns the second program's prices and ``s``.
     """
     n = prog.n
     N = tree.n_nodes
@@ -144,18 +155,27 @@ def _lp_tree_dual(tree, cone_table, X, prog):
         A_rows.append(block)
         b_rows.append(rhs)
 
+    A_ub, b_ub = np.vstack(A_rows), np.concatenate(b_rows)
     c = np.zeros(nv)
     c[slack] = 1.0
-    try:
-        res = lp_solve(c, A_ub=np.vstack(A_rows),
-                       b_ub=np.concatenate(b_rows))
-    except LPError as exc:
-        raise SolverError(f"dual extraction failed: {exc}") from exc
+    # HiGHS accepts row violations up to an absolute tolerance, 1e-10 at
+    # its tightest, and would report the 1e-11 optimal slacks here as 0;
+    # rows scaled by 1e4 put its tolerance below them
+    first = linprog(c, A_ub=1e4 * A_ub, b_ub=1e4 * b_ub, bounds=(0, None),
+                    method="highs",
+                    options={"primal_feasibility_tolerance": 1e-10,
+                             "dual_feasibility_tolerance": 1e-10})
+    assert first.status == 0, first.message
+    s = max(float(first.fun), 0.0)
+    least = linprog(1.0 - c, A_ub=A_ub, b_ub=b_ub,
+                    bounds=[(0, None)] * slack + [(0, s * (1 + 1e-6) + 1e-14)],
+                    method="highs")
+    assert least.status == 0, least.message
 
     prices = np.zeros((N, n))
-    prices[1:] = res.x[:slack].reshape(N - 1, n)
+    prices[1:] = least.x[:slack].reshape(N - 1, n)
     dual = DualPlan(tree, prices, term)
-    return dual, float(max(res.objective, 0.0))
+    return dual, s
 
 
 @pytest.fixture(scope="module", params=CASES, ids=IDS)

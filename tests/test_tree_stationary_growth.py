@@ -69,8 +69,8 @@ FAMILIES = IID + [
     ("proportional_tc-coin", COIN, costly(COIN), 4, 8, 32),
     ("proportional_tc-regime", REGIME, costly(REGIME), 3, 6, 32),
     ("frictionless-regime", REGIME, frictionless(REGIME), 3, 6, 32),
-    # each currency start runs linear programs; the tree rate is far
-    # above anything a state-keyed strategy reaches here
+    # the tree rate is far above anything a state-keyed strategy
+    # reaches here
     ("currency-coin", COIN, CURRENCY, 4, 8, 8),
 ]
 
@@ -134,3 +134,14 @@ def test_currency_tree_growth_equals_pair_chain_strategy():
     assert residual <= 1e-9
     assert tree_growth(COIN, CURRENCY, 4, 8) == pytest.approx(
         rate, rel=0.0, abs=1e-8)
+
+
+def test_pair_chain_stationary_solver_finds_the_corner_strategy():
+    # the uniform start alone stalls at growth 0 (every single-asset move
+    # trades one state's gain for a successor's loss); a few seeded
+    # starts reach the corner strategy of the test above
+    rate = (math.log(1.1) + math.log(1.2)) / 4.0
+    pspec, ptable = pair_chain(COIN, CURRENCY)
+    eq = solve_stationary_equilibrium(pspec, ptable, starts=4)
+    assert eq.log_growth == pytest.approx(rate, rel=0.0, abs=1e-6)
+    assert eq.certificate_residual <= 1e-6
