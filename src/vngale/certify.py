@@ -26,7 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import boundary_scale, dual_violation
+from .cones import (
+    _boundary_scale,
+    _dual_violation,
+    _group_edges,
+    boundary_scale,  # not called here; perfbench/tracing.py wraps both
+    dual_violation,
+)
 from .plans import BalancedStrategy, ContingentPlan, DualPlan
 from .scenario import MarkovSpec, ScenarioTree, sample_paths
 from .solver import _StationaryProgram
@@ -39,6 +45,12 @@ __all__ = [
     "asymptotic_dominance",
 ]
 
+# Competitors are rolled out a chunk at a time.  A chunk of K plans is one
+# (K, nodes, n) array, and its stacked boundary-scale calls hold
+# (K, depth width, facet rows) ratios; K is the largest count that keeps
+# every such array within this many elements (at least one plan).
+_CHUNK_ELEMENTS = 1 << 16
+
 
 @dataclass(frozen=True)
 class CertificateReport:
@@ -50,6 +62,11 @@ class CertificateReport:
     supermartingale_defect  max over competitors and nodes of the
                             expected deflated gain E(p_next . y) - p . y_prev
     verdict                 "pass" iff all three are within tolerance
+    worst_support, worst_dual_cone, worst_defect
+                            the node attaining each per-node maximum (the
+                            smallest id on ties): ``{"node": id, "path":
+                            state labels from the root down to it ('*' for
+                            a free root), "residual": its per-node value}``
     """
 
     support_residual: float
@@ -63,6 +80,9 @@ class CertificateReport:
     node_defect: dict
     competitors: int
     seed: int
+    worst_support: dict | None = None
+    worst_dual_cone: dict | None = None
+    worst_defect: dict | None = None
 
     @property
     def passed(self) -> bool:
@@ -82,6 +102,9 @@ class CertificateReport:
             "node_dual_cone": {str(v): r
                                for v, r in self.node_dual_cone.items()},
             "node_defect": {str(v): r for v, r in self.node_defect.items()},
+            "worst_support": self.worst_support,
+            "worst_dual_cone": self.worst_dual_cone,
+            "worst_defect": self.worst_defect,
         }
 
 
@@ -89,6 +112,13 @@ def _same_tree(t1: ScenarioTree, t2: ScenarioTree) -> bool:
     return t1 is t2 or (t1.n_nodes == t2.n_nodes
                         and np.array_equal(t1.parent, t2.parent)
                         and np.array_equal(t1.state, t2.state))
+
+
+def _deflated_gain(ahead, prices, y, y_parent):
+    """``E(p_next . y) - p . y_parent`` for stacks of node rows, with one
+    dot product per node and plan, as the single-node formula takes it."""
+    return ((ahead[..., None, :] @ y[..., :, None])
+            - (prices[..., None, :] @ y_parent[..., :, None]))[..., 0, 0]
 
 
 def supermartingale_defect(dual: DualPlan, y: ContingentPlan,
@@ -107,16 +137,39 @@ def supermartingale_defect(dual: DualPlan, y: ContingentPlan,
     if dual.n != y.n:
         raise ValueError("plan and dual disagree on dimension: "
                          f"{y.n} vs {dual.n}")
-    out = {}
-    for v in range(1, tree.n_nodes):
-        ahead = float(dual.expected_next(v) @ y.x[v])
-        now = float(dual.prices[v] @ y.x[tree.parent[v]])
-        out[v] = ahead - now
-    return out
+    gain = _deflated_gain(dual.expected_next_rows()[1:], dual.prices[1:],
+                          y.x[1:], y.x[tree.parent[1:]])
+    return dict(zip(range(1, tree.n_nodes), gain.tolist()))
 
 
-def _competitor_plans(plan: ContingentPlan, cone_table, count: int,
-                      seed: int):
+def _roll(x0, dirs, by_depth):
+    """Competitor plans ``(K, nodes, n)`` from their directions: at every
+    edge each plan moves to the cone boundary along its direction, one
+    stacked boundary-scale call per (depth, edge group)."""
+    K, N, _ = dirs.shape
+    Y = np.empty_like(dirs)
+    Y[:, 0] = x0
+    first_bad = np.full(K, N)
+    for parts in by_depth:
+        for cone, nodes, parents in parts:
+            d = dirs[:, nodes]
+            t = _boundary_scale(cone, Y[:, parents], d)
+            bad = ~np.isfinite(t) | (t <= 0.0)
+            if bad.any():
+                first_bad = np.minimum(first_bad,
+                                       np.where(bad, nodes, N).min(axis=1))
+                t = np.where(bad, 0.0, t)  # a collapsed plan stays at 0
+            Y[:, nodes] = t[..., None] * d
+    collapsed = np.flatnonzero(first_bad < N)
+    if collapsed.size:
+        raise ValueError(
+            f"competitor wealth collapsed at node {first_bad[collapsed[0]]}; "
+            "the cone table admits a zero-growth direction"
+        )
+    return Y
+
+
+def _competitor_plans(plan: ContingentPlan, groups, count: int, seed: int):
     """Deterministic and seeded random self-financing competitors.
 
     Buy-and-hold plans ride a single asset and scale to the cone
@@ -125,40 +178,62 @@ def _competitor_plans(plan: ContingentPlan, cone_table, count: int,
     away 10% of it per period; the rest rebalance to a random simplex
     direction scaled to the boundary.  All start from the plan's own
     initial portfolio.
+
+    Yields the plans in the order hold-i, dispose-10, random-k as stacked
+    ``(K, nodes, n)`` arrays of at most ``_CHUNK_ELEMENTS`` per stacked
+    array.  ``groups`` are the tree's edge groups (``_group_edges``).
+    The random directions are drawn in plan order, one ``(nodes, n)``
+    Dirichlet draw per plan.
     """
-    tree = plan.tree
-    n = plan.n
-    cones = [None] + [cone_table.resolve(*tree.transition_label(v))
-                      for v in range(1, tree.n_nodes)]
+    tree, n = plan.tree, plan.n
+    N, ds = tree.n_nodes, tree.depth_start
+    by_depth = []
+    for d in range(1, tree.horizon + 1):
+        parts = []
+        for cone, nodes, parents in groups:
+            i, j = np.searchsorted(nodes, (ds[d], ds[d + 1]))
+            if i < j:
+                parts.append((cone, nodes[i:j], parents[i:j]))
+        by_depth.append(parts)
+    rows = max(cone.facets[0].shape[0] for cone, _, _ in groups)
+    per_plan = max(N * n, int(np.diff(ds).max()) * rows)
+    size = max(1, _CHUNK_ELEMENTS // per_plan)
 
-    def roll(direction_of):
-        y = np.zeros((tree.n_nodes, n))
-        y[0] = plan.x[0]
-        for v in range(1, tree.n_nodes):
-            d = direction_of(v)
-            t = boundary_scale(cones[v], y[tree.parent[v]], d)
-            if not np.isfinite(t) or t <= 0.0:
-                raise ValueError(
-                    f"competitor wealth collapsed at node {v}; "
-                    "the cone table admits a zero-growth direction"
-                )
-            y[v] = t * d
-        return ContingentPlan(tree, y, units=plan.units)
-
-    out = []
-    for i in range(n):
-        e_i = np.zeros(n)
-        e_i[i] = 1.0
-        out.append((f"hold-{i}", roll(lambda v: e_i)))
-    decay = 0.9 ** tree.depth.astype(float)
-    out.append(("dispose-10",
-                ContingentPlan(tree, plan.x * decay[:, None],
-                               units=plan.units)))
+    eye, alpha = np.eye(n), np.ones(n)
     rng = np.random.default_rng(seed)
-    for k in range(count):
-        draws = rng.dirichlet(np.ones(n), size=tree.n_nodes)
-        out.append((f"random-{k}", roll(lambda v: draws[v])))
-    return out
+    rolled = n + max(count, 0)  # buy-and-hold plans, then the random ones
+    for start in range(0, rolled, size):
+        stop = min(start + size, rolled)
+        dirs = np.stack([np.broadcast_to(eye[k], (N, n)) if k < n
+                         else rng.dirichlet(alpha, size=N)
+                         for k in range(start, stop)])
+        Y = _roll(plan.x[0], dirs, by_depth)
+        if start < n <= stop:
+            yield Y[:n - start]
+            decay = 0.9 ** tree.depth.astype(float)
+            yield (plan.x * decay[:, None])[None]
+            Y = Y[n - start:]
+        yield Y
+
+
+def _running_max(best, values):
+    """``best`` after ``if d > best: best = d`` for each row ``d`` of
+    ``values`` in order: NaN never wins and a tie keeps the earlier
+    value, so a signed zero is the one seen first."""
+    if values.shape[0] == 0:
+        return best
+    v = np.where(np.isnan(values), -np.inf, values)
+    top = v[np.argmax(v, axis=0), np.arange(v.shape[1])]
+    return np.where(top > best, top, best)
+
+
+def _worst(tree: ScenarioTree, residual) -> dict:
+    """The node of depth >= 1 with the largest residual (``residual[v-1]``
+    belongs to node ``v``), named by its state path."""
+    v = int(np.argmax(residual)) + 1
+    labels = ["*" if tree.state[u] < 0 else tree.spec.states[tree.state[u]]
+              for u in tree.path_to(v)]
+    return {"node": v, "path": labels, "residual": float(residual[v - 1])}
 
 
 def check_rapid(plan: ContingentPlan, dual: DualPlan, cone_table,
@@ -175,6 +250,12 @@ def check_rapid(plan: ContingentPlan, dual: DualPlan, cone_table,
       self-financing plans (plus buy-and-hold and disposal plans) never
       gains more than ``defect_tol`` in expectation at any node.
 
+    Every check runs over whole arrays: ``E p_next`` is one sum over the
+    breadth-first child ranges, the dual-cone violation one closed form
+    per edge group, and the competitors are rolled out in chunks, one
+    stacked boundary-scale call per (depth, edge group) and one batched
+    product for their deflated gains.
+
     The plan itself is assumed self-financing (see
     :func:`vngale.plans.is_self_financing`).
     """
@@ -188,29 +269,33 @@ def check_rapid(plan: ContingentPlan, dual: DualPlan, cone_table,
         raise ValueError("plan and dual disagree on dimension: "
                          f"{plan.n} vs {dual.n}")
 
-    node_support = {}
-    node_dual = {}
-    for v in range(1, tree.n_nodes):
-        node_support[v] = abs(float(dual.prices[v] @ plan.x[tree.parent[v]])
-                              - 1.0)
-        cone = cone_table.resolve(*tree.transition_label(v))
-        node_dual[v] = dual_violation(cone, dual.prices[v],
-                                      dual.expected_next(v))
+    N = tree.n_nodes
+    prices, ahead = dual.prices, dual.expected_next_rows()
+    par = tree.parent[1:]
+    support = np.abs((prices[1:, None, :] @ plan.x[par][:, :, None])[:, 0, 0]
+                     - 1.0)
+    groups = _group_edges(tree, cone_table)
+    violation = np.empty(N)
+    for cone, nodes, _ in groups:
+        violation[nodes] = _dual_violation(cone, prices[nodes], ahead[nodes])
+    violation = violation[1:]
 
-    node_defect = {v: -np.inf for v in range(1, tree.n_nodes)}
-    for _name, y in _competitor_plans(plan, cone_table, competitors, seed):
-        for v, d in supermartingale_defect(dual, y).items():
-            if d > node_defect[v]:
-                node_defect[v] = d
+    defect = np.full(N - 1, -np.inf)
+    for Y in _competitor_plans(plan, groups, competitors, seed):
+        defect = _running_max(defect, _deflated_gain(
+            ahead[1:], prices[1:], Y[:, 1:], Y[:, par]))
 
-    support = max(node_support.values())
+    node_support = dict(zip(range(1, N), support.tolist()))
+    node_dual = dict(zip(range(1, N), violation.tolist()))
+    node_defect = dict(zip(range(1, N), defect.tolist()))
+    support_res = max(node_support.values())
     dual_res = max(0.0, max(node_dual.values()))
-    defect = max(node_defect.values())
-    ok = support <= tol and dual_res <= tol and defect <= defect_tol
+    defect_res = max(node_defect.values())
+    ok = support_res <= tol and dual_res <= tol and defect_res <= defect_tol
     return CertificateReport(
-        support_residual=support,
+        support_residual=support_res,
         dual_cone_residual=dual_res,
-        supermartingale_defect=defect,
+        supermartingale_defect=defect_res,
         tol=tol,
         defect_tol=defect_tol,
         verdict="pass" if ok else "fail",
@@ -219,6 +304,9 @@ def check_rapid(plan: ContingentPlan, dual: DualPlan, cone_table,
         node_defect=node_defect,
         competitors=plan.n + 1 + competitors,
         seed=seed,
+        worst_support=_worst(tree, support),
+        worst_dual_cone=_worst(tree, violation),
+        worst_defect=_worst(tree, defect),
     )
 
 

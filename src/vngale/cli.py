@@ -300,6 +300,12 @@ def cmd_certify(args) -> int:
         raise ModelError(f"inconsistent plan/dual/model files: {exc}") \
             from exc
     _emit(report.to_dict(), args.out)
+    if args.out:
+        print(f"verdict {report.verdict}")
+        for name in ("support", "dual_cone", "defect"):
+            worst = getattr(report, f"worst_{name}")
+            print(f"worst_{name} {worst['residual']:.3e} at node "
+                  f"{worst['node']} ({'->'.join(worst['path'])})")
     return 0 if report.passed else 1
 
 

@@ -300,8 +300,16 @@ def membership_residual(cone: ConeSpec, a, b) -> float:
     ``(a, b - s)`` a member, likewise scaled.
     """
     a, b = _check_pair(cone, a, b)
+    return float(_membership_residual(cone, a, b))
+
+
+def _membership_residual(cone: ConeSpec, a, b):
+    """:func:`membership_residual` without input checks, for one pair
+    ``(n,)`` or a stack ``(M, n)`` of pairs (an ``(M,)`` array)."""
     C, D = cone.facets
-    return float((D @ b - C @ a).max()) / (1.0 + a.sum() + b.sum())
+    # one matrix-vector product per pair, as for a single pair
+    slack = (D @ b[..., None] - C @ a[..., None])[..., 0]
+    return slack.max(axis=-1) / (1.0 + a.sum(axis=-1) + b.sum(axis=-1))
 
 
 def contains(cone: ConeSpec, a, b, tol: float = 1e-9) -> bool:
@@ -412,15 +420,13 @@ def dual_violation(cone: ConeSpec, c, d, method: str = "auto") -> float:
         raise ValueError("price vectors must be nonnegative")
     if method not in ("auto", "lp", "closed"):
         raise ValueError(f"unknown method: {method!r}")
-    G = cone.exchange
     if method != "lp":
-        # extreme rays: (e_j, G[i, j] e_i) and the disposal rays (e_j, 0)
-        vals = (G * d[:, None] - c[None, :]) / (1.0 + G)
-        return max(float((-c).max()), float(vals.max()))
+        return float(_dual_violation(cone, c, d))
 
     # maximize d.b - c.a over the slice; variables a, b and the
     # row-major exchange matrix x: asset j ships sum_i x[i, j] <= a_j,
     # asset i receives b_i <= sum_j G[i, j] x[i, j]
+    G = cone.exchange
     n = cone.n
     eye, zero = np.eye(n), np.zeros((n, n))
     avail = np.tile(eye, (1, n))
@@ -431,6 +437,20 @@ def dual_violation(cone: ConeSpec, c, d, method: str = "auto") -> float:
                    b_ub=np.zeros(2 * n), A_eq=A_eq, b_eq=np.ones(1),
                    maximize=True)
     return float(res.objective)
+
+
+def _dual_violation(cone: ConeSpec, c, d):
+    """Closed-form :func:`dual_violation` without input checks.
+
+    ``c`` and ``d`` have the same shape, ``(n,)`` for one pair or
+    ``(M, n)`` for a stack of ``M`` pairs (an ``(M,)`` array).  The
+    maximum runs over the extreme rays ``(e_j, G[i, j] e_i)`` and the
+    disposal rays ``(e_j, 0)``; the disposal value wins ties.
+    """
+    G = cone.exchange
+    vals = (G * d[..., :, None] - c[..., None, :]) / (1.0 + G)
+    ray, disposal = vals.max(axis=(-2, -1)), (-c).max(axis=-1)
+    return np.where(ray > disposal, ray, disposal)
 
 
 def dual_contains(cone: ConeSpec, c, d, tol: float = 1e-9,
@@ -531,6 +551,26 @@ class ConeTable:
     @classmethod
     def from_dict(cls, d: dict) -> "ConeTable":
         return cls({k: ConeSpec.from_dict(v) for k, v in d.items()})
+
+
+def _group_edges(tree, cone_table):
+    """Tree edges grouped by cone: a list of ``(cone, nodes, parents)``
+    with the child ids ``nodes`` ascending, in order of each cone's
+    first edge.  The table is resolved once per distinct (parent state,
+    state) pair, so a transition without a cone raises ``KeyError`` at
+    its first edge."""
+    k = tree.spec.k
+    labels = ("*",) + tree.spec.states  # state -1 (a free root) is '*'
+    code = (tree.state[tree.parent[1:]] + 1) * k + tree.state[1:]
+    by_cone = {}
+    for c in code[np.sort(np.unique(code, return_index=True)[1])]:
+        cone = cone_table.resolve(labels[c // k], labels[c % k + 1])
+        by_cone.setdefault(id(cone), (cone, []))[1].append(c)
+    groups = []
+    for cone, codes in by_cone.values():
+        nodes = np.flatnonzero(np.isin(code, codes)) + 1
+        groups.append((cone, nodes, tree.parent[nodes]))
+    return groups
 
 
 def _as_cone_items(cone_table):

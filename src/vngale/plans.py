@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import membership_residual
+from .cones import _group_edges, _membership_residual
 from .scenario import ScenarioTree
 
 __all__ = [
@@ -178,6 +178,22 @@ class DualPlan:
         return np.add.reduceat(tree.cond_prob[kids, None] * self.prices[kids],
                                [0])[0]
 
+    def expected_next_rows(self) -> np.ndarray:
+        """:meth:`expected_next` of every node, one row per node id.
+
+        One sum over the consecutive child ranges of all non-leaf nodes
+        (the same sums, so the rows equal the per-node values exactly),
+        then the terminal layer at the leaves.
+        """
+        tree = self.tree
+        inner = tree.depth_start[tree.horizon]
+        out = np.empty_like(self.prices)
+        out[:inner] = np.add.reduceat(
+            tree.cond_prob[1:, None] * self.prices[1:],
+            tree.first_child[:inner] - 1)
+        out[inner:] = self.terminal
+        return out
+
     def to_dict(self) -> dict:
         leaves = self.tree.leaves()
         return {
@@ -261,14 +277,12 @@ def is_self_financing(plan: ContingentPlan, cone_table,
     pair falls outside its solvency cone by more than ``tol`` (relative
     residual).  Raises ``KeyError`` when a transition has no cone.
     """
-    tree = plan.tree
-    violations = []
-    for v in range(1, tree.n_nodes):
-        u_lab, v_lab = tree.transition_label(v)
-        cone = cone_table.resolve(u_lab, v_lab)
-        res = membership_residual(cone, plan.x[tree.parent[v]], plan.x[v])
-        if res > tol:
-            violations.append((int(v), float(res)))
+    X = plan.x
+    res = np.empty(plan.tree.n_nodes)
+    for cone, nodes, parents in _group_edges(plan.tree, cone_table):
+        res[nodes] = _membership_residual(cone, X[parents], X[nodes])
+    violations = [(int(v), float(res[v]))
+                  for v in np.flatnonzero(res[1:] > tol) + 1]
     return (len(violations) == 0), violations
 
 
@@ -277,8 +291,10 @@ def _path_factors(strategy: BalancedStrategy, tree: ScenarioTree):
     (excluding the root's own state)."""
     factor = np.ones(tree.n_nodes)
     alpha_by_index = np.array([strategy.alpha[s] for s in tree.spec.states])
-    for v in range(1, tree.n_nodes):
-        factor[v] = factor[tree.parent[v]] * alpha_by_index[tree.state[v]]
+    ds = tree.depth_start
+    for d in range(1, tree.horizon + 1):
+        vs = slice(ds[d], ds[d + 1])
+        factor[vs] = factor[tree.parent[vs]] * alpha_by_index[tree.state[vs]]
     return factor
 
 
@@ -327,14 +343,11 @@ def expand_balanced_dual(strategy: BalancedStrategy, p: dict,
     p_by_index = np.stack([np.asarray(p[s], dtype=float)
                            for s in tree.spec.states])
     prices = np.zeros((tree.n_nodes, p_by_index.shape[1]))
-    for v in range(1, tree.n_nodes):
-        prices[v] = p_by_index[tree.state[v]] / factor[tree.parent[v]]
+    prices[1:] = p_by_index[tree.state[1:]] / factor[tree.parent[1:], None]
     leaves = tree.leaves()
-    term = np.zeros((leaves.size, p_by_index.shape[1]))
-    P = tree.spec.P
-    for i, v in enumerate(leaves):
-        s = tree.state[v]
-        term[i] = (P[s] @ p_by_index) / factor[v]
+    # E[p next | state s] once per state, then one division per leaf
+    ahead = np.stack([P_s @ p_by_index for P_s in tree.spec.P])
+    term = ahead[tree.state[leaves]] / factor[leaves, None]
     return DualPlan(tree, prices, term)
 
 

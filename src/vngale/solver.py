@@ -47,6 +47,7 @@ from .cones import (
     FRICTIONLESS,
     ConeSpec,
     _boundary_scale,
+    _group_edges,
     boundary_scale,  # not called here; perfbench/tracing.py wraps it
     dual_cone_rows,
     validate_assumptions,
@@ -163,20 +164,8 @@ class _EdgeGroup:
 
 
 def _edge_groups(tree: ScenarioTree, cone_table):
-    """Edges grouped by cone, in order of each cone's first edge; the
-    table is resolved once per distinct (parent state, state) pair."""
-    k = tree.spec.k
-    labels = ("*",) + tree.spec.states  # state -1 (a free root) is '*'
-    code = (tree.state[tree.parent[1:]] + 1) * k + tree.state[1:]
-    by_cone = {}
-    for c in code[np.sort(np.unique(code, return_index=True)[1])]:
-        cone = cone_table.resolve(labels[c // k], labels[c % k + 1])
-        by_cone.setdefault(id(cone), (cone, []))[1].append(c)
-    groups = []
-    for cone, codes in by_cone.values():
-        nodes = np.flatnonzero(np.isin(code, codes)) + 1
-        groups.append(_EdgeGroup(cone, nodes, tree.parent[nodes]))
-    return groups
+    """:func:`vngale.cones._group_edges` with the GEMM tables built."""
+    return [_EdgeGroup(*g) for g in _group_edges(tree, cone_table)]
 
 
 def _interior_start(tree, groups, x0):
