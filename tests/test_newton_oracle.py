@@ -200,7 +200,8 @@ def test_zero_growth_names_the_first_failing_node():
 def _dense_newton(tree, table, Y, mu, objective, m):
     """Gradient and Hessian of the barrier over all non-root node
     variables, written edge by edge, with the solver's relative ridge;
-    returns the Newton direction and decrement."""
+    node ``v``'s coordinate and edge-row logs carry its probability.
+    Returns the Newton direction and decrement."""
     n = table.n
     N = tree.n_nodes
     g = np.zeros((N - 1) * m)
@@ -214,10 +215,11 @@ def _dense_newton(tree, table, Y, mu, objective, m):
         Fa, Fv = _edge_matrices(cone)
         k = Fv.shape[1]
         own = cols(v, m)
+        mw = mu * tree.abs_prob[v]
         for i in range(m):
             if i < k:
-                g[own[i]] -= mu / Y[v, i]
-                H[own[i], own[i]] += mu / Y[v, i] ** 2
+                g[own[i]] -= mw / Y[v, i]
+                H[own[i], own[i]] += mw / Y[v, i] ** 2
             else:  # lift entries a lift-free node does not use
                 H[own[i], own[i]] = 1.0
         u = tree.parent[v]
@@ -228,8 +230,8 @@ def _dense_newton(tree, table, Y, mu, objective, m):
             else:
                 idx = np.concatenate([cols(u, n), cols(v, k)])
                 coef = np.concatenate([Fa[row], Fv[row]])
-            g[idx] += mu / -r[row] * coef
-            H[np.ix_(idx, idx)] += mu / r[row] ** 2 * np.outer(coef, coef)
+            g[idx] += mw / -r[row] * coef
+            H[np.ix_(idx, idx)] += mw / r[row] ** 2 * np.outer(coef, coef)
         if tree.depth[v] == tree.horizon:
             w = wealth_weights(cone, objective)
             val = w @ Y[v, :n]
@@ -239,7 +241,7 @@ def _dense_newton(tree, table, Y, mu, objective, m):
             H[np.ix_(x, x)] += p / val ** 2 * np.outer(w, w)
     for v in range(1, N):
         own = cols(v, m)
-        H[own, own] += 1e-14 * max(H[own, own].max(), 1.0)
+        H[own, own] += 1e-14 * max(H[own, own].max(), tree.abs_prob[v])
     delta = np.linalg.solve(H, -g)
     return delta.reshape(N - 1, m), float(-g @ delta)
 

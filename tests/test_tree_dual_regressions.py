@@ -4,6 +4,12 @@ The least dual meets every dual-cone row exactly, so a competitor's
 deflated wealth never drifts up, even at nodes of probability 1e-6; and
 it costs one pass over the tree, so 1023-node trees certify at the
 default tolerances.
+
+The barrier weights each node's logs by the node's probability, so the
+plan is as accurate at a node of probability 1e-15 as at the root:
+skewed chains certify, and so does a currency tree with 2364 facet rows
+per edge.  The long-step schedule that weighting allows is held to a
+Newton-step budget.
 """
 
 import time
@@ -31,6 +37,48 @@ def test_skewed_three_state_costs_certify():
     rep = check_rapid(res.plan, res.dual, table)
     assert rep.passed, rep.to_dict()
     assert rep.dual_cone_residual == 0.0
+
+
+def test_skewed_frictionless_chain_certifies():
+    # the benchmark's fl2-skew2-H5 model without its seeded jitter: the
+    # rarest leaves have probability 1e-15
+    spec = MarkovSpec(["U", "D"], [[0.999, 0.001], [0.999, 0.001]])
+    table = ConeTable({"*->U": ConeSpec.frictionless([1.0, 2.0]),
+                       "*->D": ConeSpec.frictionless([1.0, 0.5])})
+    tree = build_tree(spec, 5)
+    res = solve_tree_log_optimal(tree, table, [0.5, 0.5])
+    assert res.kkt_residual <= 1e-8
+    rep = check_rapid(res.plan, res.dual, table)
+    assert rep.passed, rep.to_dict()
+
+
+def test_1093_node_skewed_costs_certify():
+    spec = MarkovSpec(["A", "B", "C"], [[0.98, 0.01, 0.01]] * 3)
+    returns = {"A": [1.0, 1.1], "B": [1.0, 0.6], "C": [1.0, 1.5]}
+    table = ConeTable({f"*->{s}": ConeSpec.proportional_tc(r, 0.01, 0.02)
+                       for s, r in returns.items()})
+    tree = build_tree(spec, 6)
+    assert tree.n_nodes == 1093
+    res = solve_tree_log_optimal(tree, table, [0.5, 0.5])
+    assert res.kkt_residual <= 1e-8
+    rep = check_rapid(res.plan, res.dual, table)
+    assert rep.passed, rep.to_dict()
+
+
+def test_six_currency_tree_is_accurate():
+    # 2364 facet rows per edge; the barrier ends as close to optimal as
+    # on the two-currency trees
+    rng = np.random.default_rng(6)
+    cones = {}
+    for s in ("U", "D"):
+        mu = rng.uniform(0.8, 1.2, (6, 6))
+        np.fill_diagonal(mu, 1.0)
+        cones[f"*->{s}"] = ConeSpec.currency(mu)
+    table = ConeTable(cones)
+    tree = build_tree(COIN, 6)
+    assert tree.n_nodes == 127
+    res = solve_tree_log_optimal(tree, table, np.full(6, 1 / 6))
+    assert res.kkt_residual <= 1e-8
 
 
 # the n = 3 frictionless, n = 2 cost and n = 2 currency tables of the
@@ -61,3 +109,37 @@ def test_1023_node_tree_certifies(family, table):
                         rep.supermartingale_defect)
     # 0.8 / 0.6 / 3.5 s on a 2-core x86_64 host, most of it in check_rapid
     assert elapsed < 30.0
+
+
+# the other three tables of the rapid-certificate acceptance test
+MORE = [
+    ("frictionless-n2", ConeTable({
+        "*->U": ConeSpec.frictionless([1.0, 2.0]),
+        "*->D": ConeSpec.frictionless([1.0, 0.5])})),
+    ("proportional_tc-n3", ConeTable({
+        "*->U": ConeSpec.proportional_tc([1.0, 2.0, 0.7],
+                                         [0.01, 0.02, 0.015],
+                                         [0.005, 0.01, 0.02]),
+        "*->D": ConeSpec.proportional_tc([1.0, 0.5, 1.4],
+                                         [0.01, 0.02, 0.015],
+                                         [0.005, 0.01, 0.02])})),
+    ("currency-n3", ConeTable({
+        "*->U": ConeSpec.currency([[1.0, 1.25, 0.8], [0.75, 1.0, 1.1],
+                                   [1.15, 0.85, 1.0]]),
+        "*->D": ConeSpec.currency([[1.0, 0.7, 1.05], [1.3, 1.0, 0.9],
+                                   [0.9, 1.05, 1.0]])})),
+]
+# Newton steps on the 1023-node coin tree with mu cut by 0.01 per stage;
+# cutting it by 0.1 takes 94-106 steps on every table
+STEPS_H9 = {"frictionless": 42, "proportional_tc": 52, "currency": 64,
+            "frictionless-n2": 40, "proportional_tc-n3": 59,
+            "currency-n3": 77}
+
+
+@pytest.mark.parametrize("name, table", LARGE + MORE,
+                         ids=[c[0] for c in LARGE + MORE])
+def test_newton_step_budget(name, table):
+    tree = build_tree(COIN, 9)
+    res = solve_tree_log_optimal(tree, table, np.full(table.n, 1 / table.n),
+                                 extract_dual=False)
+    assert res.iterations <= 1.3 * STEPS_H9[name]
