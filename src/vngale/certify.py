@@ -376,6 +376,13 @@ def asymptotic_dominance(equilibrium, spec: MarkovSpec, cone_table,
     ``include`` (a map name -> BalancedStrategy).
 
     ``equilibrium`` may be an EquilibriumResult or a BalancedStrategy.
+
+    The simulation is one sweep over time for all C competitors at once:
+    each step adds the sampled log growth factors to the strategy's and
+    every competitor's log wealth and folds their log wealth ratios into
+    a running maximum.  Memory is O(paths x C) besides the sampled
+    paths; the sums are added in time order, so the report is the same,
+    bit for bit, as cumulating each competitor's paths separately.
     """
     if length < 1 or paths < 1:
         raise ValueError("length and paths must be >= 1")
@@ -401,35 +408,50 @@ def asymptotic_dominance(equilibrium, spec: MarkovSpec, cone_table,
                                         for s in spec.states])))
 
     S = sample_paths(spec, length, paths, seed)
-    lx = np.cumsum(log_ax[S], axis=1)
-    growth_x = lx[:, -1] / length
+    log_ay = np.stack([np.log(_require_positive(alph, f"competitor {name!r}"))
+                       for name, alph in entries], axis=1)  # (k, C)
 
-    rows = []
-    for name, alph in entries:
-        log_ay = np.log(_require_positive(alph, f"competitor {name!r}"))
-        ly = np.cumsum(log_ay[S], axis=1)
-        rel = ly - lx  # log wealth ratio y over x, starts at 0 before t=1
-        growth_y = ly[:, -1] / length
-        gap = growth_x - growth_y
-        se = (float(gap.std(ddof=1)) / np.sqrt(paths)) if paths > 1 else 0.0
+    # One sweep over time for every competitor: lx (paths,) and ly
+    # (paths, C) are the log wealths, best is the running maximum of
+    # ly - lx (0 before t = 1).  half is best before step mid, the record
+    # the second half of the horizon has to beat (best itself when the
+    # horizon is one step and has no second half).
+    C = len(entries)
+    mid = length - length // 2
+    lx = np.zeros(paths)
+    ly = np.zeros((paths, C))
+    best = half = np.zeros((paths, C))
+    for t in range(length):
+        if t == mid:
+            half = best.copy()
+        s = S[:, t]
+        lx += log_ax[s]
+        ly += log_ay[s]
+        np.maximum(best, ly - lx[:, None], out=best)
 
-        run = np.maximum.accumulate(np.hstack([np.zeros((paths, 1)), rel]),
-                                    axis=1)
-        max_ratio = np.exp(run[:, -1])
-        # stabilized: the running maximum sets no record in the last
-        # half of the horizon (strict increases only)
-        tail = length // 2
-        stable = run[:, -1] <= run[:, length - tail]
-        rows.append({
-            "competitor": name,
-            "mean_growth_strategy": float(growth_x.mean()),
-            "mean_growth_competitor": float(growth_y.mean()),
-            "mean_gap": float(gap.mean()),
-            "se_gap": float(se),
-            "mean_max_ratio": float(max_ratio.mean()),
-            "worst_max_ratio": float(max_ratio.max()),
-            "stabilized_fraction": float(stable.mean()),
-        })
+    # per-competitor statistics along the rows of C-contiguous (C, paths)
+    # arrays: each row is summed pairwise, as a lone (paths,) array is
+    # (a sum down the columns of (paths, C) would add in another order)
+    growth_x = lx / length
+    growth_y = np.ascontiguousarray(ly.T) / length
+    gap = growth_x - growth_y
+    se = (gap.std(axis=1, ddof=1) / np.sqrt(paths) if paths > 1
+          else np.zeros(C))
+    max_ratio = np.exp(np.ascontiguousarray(best.T))
+    stats = {
+        "mean_growth_competitor": growth_y.mean(axis=1),
+        "mean_gap": gap.mean(axis=1),
+        "se_gap": se,
+        "mean_max_ratio": max_ratio.mean(axis=1),
+        "worst_max_ratio": max_ratio.max(axis=1),
+        # the running maximum sets no record in the last half of the
+        # horizon (strict increases only)
+        "stabilized_fraction": (best <= half).mean(axis=0),
+    }
+    mean_x = float(growth_x.mean())
+    rows = [{"competitor": name, "mean_growth_strategy": mean_x,
+             **{key: float(col[c]) for key, col in stats.items()}}
+            for c, (name, _) in enumerate(entries)]
 
     return DominanceReport(
         length=length,

@@ -197,53 +197,47 @@ def test_zero_growth_names_the_first_failing_node():
 # the Newton direction against the dense system
 
 
-def _dense_newton(tree, table, Y, mu, objective, m):
+def _dense_newton(tree, table, Y, mu, objective):
     """Gradient and Hessian of the barrier over all non-root node
     variables, written edge by edge, with the solver's relative ridge;
     node ``v``'s coordinate and edge-row logs carry its probability.
     Returns the Newton direction and decrement."""
     n = table.n
     N = tree.n_nodes
-    g = np.zeros((N - 1) * m)
+    g = np.zeros((N - 1) * n)
     H = np.zeros((g.size, g.size))
 
-    def cols(v, width):
-        return np.arange((v - 1) * m, (v - 1) * m + width)
+    def cols(v):
+        return np.arange((v - 1) * n, v * n)
 
     for v in range(1, N):
         cone = table.resolve(*tree.transition_label(v))
         Fa, Fv = _edge_matrices(cone)
-        k = Fv.shape[1]
-        own = cols(v, m)
+        own = cols(v)
         mw = mu * tree.abs_prob[v]
-        for i in range(m):
-            if i < k:
-                g[own[i]] -= mw / Y[v, i]
-                H[own[i], own[i]] += mw / Y[v, i] ** 2
-            else:  # lift entries a lift-free node does not use
-                H[own[i], own[i]] = 1.0
+        g[own] -= mw / Y[v]
+        H[own, own] += mw / Y[v] ** 2
         u = tree.parent[v]
-        r = Fa @ Y[u, :n] + Fv @ Y[v, :k]
+        r = Fa @ Y[u] + Fv @ Y[v]
         for row in range(r.size):
             if u == 0:  # the root portfolio is fixed
-                idx, coef = cols(v, k), Fv[row]
+                idx, coef = own, Fv[row]
             else:
-                idx = np.concatenate([cols(u, n), cols(v, k)])
+                idx = np.concatenate([cols(u), own])
                 coef = np.concatenate([Fa[row], Fv[row]])
             g[idx] += mw / -r[row] * coef
             H[np.ix_(idx, idx)] += mw / r[row] ** 2 * np.outer(coef, coef)
         if tree.depth[v] == tree.horizon:
             w = wealth_weights(cone, objective)
-            val = w @ Y[v, :n]
+            val = w @ Y[v]
             p = tree.abs_prob[v]
-            x = cols(v, n)
-            g[x] -= p / val * w
-            H[np.ix_(x, x)] += p / val ** 2 * np.outer(w, w)
+            g[own] -= p / val * w
+            H[np.ix_(own, own)] += p / val ** 2 * np.outer(w, w)
     for v in range(1, N):
-        own = cols(v, m)
+        own = cols(v)
         H[own, own] += 1e-14 * max(H[own, own].max(), tree.abs_prob[v])
     delta = np.linalg.solve(H, -g)
-    return delta.reshape(N - 1, m), float(-g @ delta)
+    return delta.reshape(N - 1, n), float(-g @ delta)
 
 
 @pytest.mark.parametrize("objective", ["wealth", "liquidation"])
@@ -266,8 +260,7 @@ def test_newton_direction_matches_dense_solve(name, tree, table, objective):
             Y_next, dec = prog.newton_step(Y, mu)
             dY, dec_tree = steps[-1]
             assert dec == dec_tree
-            ref, ref_dec = _dense_newton(tree, table, Y, mu, objective,
-                                         table.n)
+            ref, ref_dec = _dense_newton(tree, table, Y, mu, objective)
             assert np.abs(dY[0]).max() == 0.0
             scale = np.abs(ref).max()
             assert np.abs(dY[1:] - ref).max() <= 1e-9 * scale
