@@ -157,7 +157,8 @@ def _interior_start_by_node(tree, table, x0):
     ones = np.ones(n)
     for v in range(1, tree.n_nodes):
         cone = table.resolve(*tree.transition_label(v))
-        t = 0.5 * boundary_scale(cone, Y[tree.parent[v]], ones)
+        k = (tree.horizon - tree.depth[v] + 1) * (n + 1)
+        t = k / (k + 1) * boundary_scale(cone, Y[tree.parent[v]], ones)
         if t <= 0:
             raise SolverError("cannot construct interior start "
                               f"(zero growth at node {v})")

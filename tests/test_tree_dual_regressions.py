@@ -8,8 +8,9 @@ default tolerances.
 The barrier weights each node's logs by the node's probability, so the
 plan is as accurate at a node of probability 1e-15 as at the root:
 skewed chains certify, and so does a currency tree with 2364 facet rows
-per edge.  The long-step schedule that weighting allows is held to a
-Newton-step budget.
+per edge.  The long-step schedule that weighting allows, with its
+depth-aware interior start and a central-path predictor at every cut of
+the barrier weight, is held to a Newton-step budget.
 """
 
 import time
@@ -20,7 +21,7 @@ import pytest
 from vngale.certify import check_rapid
 from vngale.cones import ConeSpec, ConeTable
 from vngale.scenario import MarkovSpec, build_tree
-from vngale.solver import solve_tree_log_optimal
+from vngale.solver import _TreeProgram, solve_tree_log_optimal
 
 COIN = MarkovSpec(["U", "D"], [[0.5, 0.5], [0.5, 0.5]])
 
@@ -143,3 +144,40 @@ def test_newton_step_budget(name, table):
     res = solve_tree_log_optimal(tree, table, np.full(table.n, 1 / table.n),
                                  extract_dual=False)
     assert res.iterations <= 1.3 * STEPS_H9[name]
+
+
+# Newton steps on the 4095-node coin tree, predictor steps included; a
+# half-scale start, no predictor and a spurious eighth stage took 42-75
+STEPS_H11 = {"frictionless": 35, "proportional_tc": 42, "currency": 37,
+             "frictionless-n2": 32, "proportional_tc-n3": 49,
+             "currency-n3": 52}
+
+
+@pytest.mark.parametrize("name, table", LARGE + MORE,
+                         ids=[c[0] for c in LARGE + MORE])
+def test_newton_step_budget_4095_nodes(name, table):
+    tree = build_tree(COIN, 11)
+    assert tree.n_nodes == 4095
+    res = solve_tree_log_optimal(tree, table, np.full(table.n, 1 / table.n),
+                                 extract_dual=False)
+    assert res.iterations <= 1.15 * STEPS_H11[name]
+
+
+def test_barrier_stages_end_exactly_at_mu_final(monkeypatch):
+    # 0.01**6 rounds to just above 1e-12: that must not add a stage
+    weights = []
+    step = _TreeProgram.newton_step
+
+    def record(self, Y, mu):
+        if not weights or weights[-1] != mu:
+            weights.append(mu)
+        return step(self, Y, mu)
+
+    monkeypatch.setattr(_TreeProgram, "newton_step", record)
+    table = LARGE[0][1]
+    solve_tree_log_optimal(build_tree(COIN, 3), table,
+                           np.full(table.n, 1 / table.n), extract_dual=False)
+    assert len(weights) == 7
+    assert weights == pytest.approx([10.0 ** -e for e in range(0, 13, 2)],
+                                    rel=1e-12)
+    assert weights[-1] == 1e-12
