@@ -206,8 +206,7 @@ class ConeSpec:
         if self.budget is not None:
             return _readonly(self.budget * self.returns), self.budget
         D = _dual_ray_rows(self.exchange)
-        return (_readonly((D[:, :, None] * self.exchange).max(axis=1)),
-                _readonly(D))
+        return _readonly(_least_price(self.exchange, D)), _readonly(D)
 
     def to_dict(self) -> dict:
         if self.family == FRICTIONLESS:
@@ -232,6 +231,12 @@ class ConeSpec:
         if fam == CURRENCY:
             return cls.currency(d["mu"])
         raise ValueError(f"unknown cone family: {fam!r}")
+
+
+def _least_price(G, d):
+    """Least ``c`` with ``(c, d)`` in the dual cone of ``G``: ``c_j = max_i
+    G[i, j] d_i``, for ``d`` of shape ``(..., n)`` and ``G`` stacked alike."""
+    return (G * d[..., :, None]).max(axis=-2)
 
 
 def _dual_ray_rows(G) -> np.ndarray:

@@ -40,8 +40,8 @@ seeded multistart pattern search, growth factors being recovered per
 transition as the largest feasible scale toward the destination
 proportions.  Each sweep of the search is one stacked evaluation: every
 feasible move's trial table goes through one boundary-scale call per
-(predecessor, state) pair.  Supporting state prices come from a
-stationary feasibility linear program.
+(predecessor, state) pair.  Supporting state prices come from the
+tree's least-price recursion, run on the chain to its fixed point.
 """
 
 from __future__ import annotations
@@ -57,12 +57,12 @@ from .cones import (
     ConeSpec,
     _boundary_scale,
     _group_edges,
+    _least_price,
     boundary_scale,  # not called here; perfbench/tracing.py wraps it
-    dual_cone_rows,
     validate_assumptions,
     wealth_weights,
 )
-from .lp import lp_solve, LPError
+from .lp import lp_solve  # not called here; perfbench/tracing.py wraps it
 from .plans import BalancedStrategy, ContingentPlan, DualPlan
 from .scenario import MarkovSpec, ScenarioTree
 
@@ -80,6 +80,7 @@ _WEALTH_FLOOR = 1e-300
 # barrier weight cut per path-following stage (long step: the weighted
 # barrier keeps every node near its central path)
 _MU_FACTOR = 0.01
+_PRICE_ITERATIONS = 64  # cap of the stationary price iteration
 
 
 class SolverError(RuntimeError):
@@ -511,19 +512,13 @@ def _extract_tree_dual(tree, X, prog):
         for g in prog.groups:
             i, j = np.searchsorted(g.nodes, (lo, hi))
             nodes = g.nodes[i:j]
-            prices[nodes] = (g.cone.exchange * e[nodes - lo, :, None]).max(
-                axis=1)
+            prices[nodes] = _least_price(g.cone.exchange, e[nodes - lo])
     support = (prices[1:] * X[tree.parent[1:]]).sum(axis=1)
     return DualPlan(tree, prices, term), float(np.abs(support - 1.0).max())
 
 
 # ---------------------------------------------------------------------------
 # Stationary equilibria
-
-
-def _transition_pairs(spec: MarkovSpec):
-    return [(u, v) for u in range(spec.k) for v in range(spec.k)
-            if spec.P[u, v] > 0.0]
 
 
 class _StationaryProgram:
@@ -622,7 +617,7 @@ def solve_stationary_equilibrium(spec: MarkovSpec, cone_table,
     Dirichlet draws, so results are reproducible).  Growth factors are
     the binding boundary scales over all positive-probability
     predecessors.  Supporting prices and the certificate residual come
-    from :func:`extract_equilibrium_prices`.
+    from the fixed-point iteration of :func:`extract_equilibrium_prices`.
     """
     _require_assumptions(cone_table)
     k, n = spec.k, cone_table.n
@@ -664,62 +659,54 @@ def extract_equilibrium_prices(strategy: BalancedStrategy,
                                spec: MarkovSpec, cone_table):
     """Stationary supporting prices for a balanced strategy.
 
-    Solves for per-state price vectors p(s) >= 0 minimizing the largest
-    violation among, over every positive-probability transition u -> v:
+    Prices ``p(s) >= 0`` support the strategy when, over every
+    positive-probability transition u -> v, ``p(v) . x(u) = 1`` (the
+    support rows) and ``G_uv[i, j] d_i <= p(v)_j`` with ``d = sum_w
+    P(v, w) p(w) / alpha(v)`` (the dual-cone rows).  The least ``p(v)``
+    meeting the dual-cone rows of every step into ``v`` is ``T(p)(v) =
+    max over u of max_i G_uv[i, :] d_i``, the tree dual's recursion on
+    the chain.  ``T`` is monotone and homogeneous of degree one, and its
+    eigenvector is the price (Gaubert & Gunawardena, Trans. AMS 356,
+    2004).  The averaged map ``p <- (p + T(p) / max T(p)) / 2``, which
+    also settles on periodic chains, runs until no entry moves by more
+    than 1e-15, at most ``_PRICE_ITERATIONS`` times; the prices are then
+    scaled so that the support products centre on 1.
 
-    * support rows  p(v) . x(u) = 1,
-    * dual-cone rows  (p(v), sum_w P(v,w) p(w) / alpha(v)) in the dual
-      cone of the (u, v) transition.
-
-    Returns ``(prices, residual)``; a residual at numerical zero
-    certifies the strategy rapid in the stationary sense, while a
-    clearly positive one is an infeasibility report: no stationary
-    price supports the strategy.  Frictionless log-optimal strategies
-    always admit prices; under transaction costs even the best balanced
-    strategy may not (the truly optimal policy holds a no-trade band
-    rather than fixed proportions), and the residual quantifies that.
+    Returns ``(prices, residual)``, the largest row violation at those
+    prices.  On an irreducible chain ``T(p) = lambda p`` forces ``lambda
+    >= 1``, with equality and equal support products exactly when some
+    price supports the strategy, so the residual is numerically zero
+    exactly when the strategy is rapid in the stationary sense.
+    Frictionless log-optimal strategies always admit prices; under
+    other cones a state's growth factor, the least over its
+    predecessors, can leave wealth unused, and no price supports that.
     """
-    k = spec.k
     xs = np.stack([strategy.x[s] for s in spec.states])
     alpha = np.array([strategy.alpha[s] for s in spec.states])
-    n = xs.shape[1]
+    # transitions u -> v with P[u, v] > 0, grouped by destination v
+    dest, src = np.nonzero(spec.P.T > 0.0)
+    G = np.stack([cone_table.resolve(spec.states[u], spec.states[v]).exchange
+                  for u, v in zip(src, dest)])
+    into, starts = np.unique(dest, return_index=True)
 
-    pairs = _transition_pairs(spec)
-    slack = k * n  # state s's prices start at s * n
-    nv = slack + 1
+    def steps(p):
+        """Least price of every transition's dual-cone rows."""
+        return _least_price(G, (spec.P @ p / alpha[:, None])[dest])
 
-    A_rows, b_rows = [], []
-    for (u, v) in pairs:
-        row = np.zeros(nv)
-        row[v * n: (v + 1) * n] = xs[u]
-        row[slack] = -1.0
-        A_rows.append(row)
-        b_rows.append(1.0)
-        row = np.zeros(nv)
-        row[v * n: (v + 1) * n] = -xs[u]
-        row[slack] = -1.0
-        A_rows.append(row)
-        b_rows.append(-1.0)
-    for (u, v) in pairs:
-        dr = dual_cone_rows(cone_table.resolve(spec.states[u],
-                                               spec.states[v]))
-        block = np.zeros((dr.n_rows, nv))
-        block[:, v * n: (v + 1) * n] = dr.F_c
-        for w in np.flatnonzero(spec.P[v] > 0.0):
-            block[:, w * n: (w + 1) * n] += spec.P[v, w] / alpha[v] * dr.F_d
-        block[:, slack] = -1.0
-        A_rows.extend(block)
-        b_rows.extend([0.0] * dr.n_rows)
+    p = np.ones(xs.shape)
+    for _ in range(_PRICE_ITERATIONS):
+        Tp = np.zeros(p.shape)  # states without predecessors stay 0
+        Tp[into] = np.maximum.reduceat(steps(p), starts)
+        p, last = 0.5 * (p + Tp / Tp.max()), p
+        if np.abs(p - last).max() <= 1e-15:
+            break
 
-    c = np.zeros(nv)
-    c[slack] = 1.0
-    try:
-        res = lp_solve(c, A_ub=np.array(A_rows), b_ub=np.array(b_rows))
-    except LPError as exc:
-        raise SolverError(f"price extraction failed: {exc}") from exc
-    prices = {spec.states[s]: res.x[s * n: (s + 1) * n].copy()
-              for s in range(k)}
-    return prices, float(max(res.objective, 0.0))
+    support = (p[dest] * xs[src]).sum(axis=1)
+    scale = 2.0 / (support.min() + support.max())
+    p *= scale
+    residual = max(float(np.abs(scale * support - 1.0).max()),
+                   float((steps(p) - p[dest]).max()))
+    return {spec.states[s]: p[s] for s in range(spec.k)}, residual
 
 
 # ---------------------------------------------------------------------------
@@ -741,32 +728,37 @@ def numeraire_dual_frictionless(plan: ContingentPlan,
     """
     tree = plan.tree
     spec = tree.spec
-    n = plan.n
     X = plan.x
-    prices = np.zeros((tree.n_nodes, n))
-    for v in range(1, tree.n_nodes):
-        cone = cone_table.resolve(*tree.transition_label(v))
+    prices = np.zeros((tree.n_nodes, plan.n))
+    # groups come in order of first edge: the first costly one names it
+    for cone, nodes, _ in _group_edges(tree, cone_table):
         if cone.family != FRICTIONLESS:
             raise ValueError("numeraire construction requires frictionless "
-                             f"cones; transition into node {v} is "
+                             f"cones; transition into node {nodes[0]} is "
                              f"{cone.family}")
-        denom = float(cone.returns @ X[tree.parent[v]])
-        if denom <= _WEALTH_FLOOR:
-            raise SolverError(f"zero post-return wealth above node {v}")
-        prices[v] = cone.returns / denom
+        prices[nodes] = cone.returns
+    wealth = (prices[1:] * X[tree.parent[1:]]).sum(axis=1)  # after returns
+    low = np.flatnonzero(wealth <= _WEALTH_FLOOR)
+    if low.size:
+        raise SolverError(f"zero post-return wealth above node {low[0] + 1}")
+    prices[1:] /= wealth[:, None]
+
     leaves = tree.leaves()
-    term = np.zeros((leaves.size, n))
-    for i, v in enumerate(leaves):
-        s = tree.state[v]
-        acc = np.zeros(n)
-        for w in np.flatnonzero(spec.P[s] > 0.0):
-            cone = cone_table.resolve(spec.states[s], spec.states[w])
-            if cone.family != FRICTIONLESS:
-                raise ValueError("numeraire construction requires "
-                                 "frictionless cones past the horizon")
-            denom = float(cone.returns @ X[v])
-            if denom <= _WEALTH_FLOOR:
-                raise SolverError(f"zero post-return wealth at leaf {v}")
-            acc += spec.P[s, w] * cone.returns / denom
-        term[i] = acc
+    term = np.zeros((leaves.size, plan.n))
+    low = np.zeros(leaves.size, dtype=bool)
+    for s in np.unique(tree.state[leaves]):
+        at = tree.state[leaves] == s
+        succ = np.flatnonzero(spec.P[s] > 0.0)
+        cones = [cone_table.resolve(spec.states[s], spec.states[w])
+                 for w in succ]
+        if any(c.family != FRICTIONLESS for c in cones):
+            raise ValueError("numeraire construction requires "
+                             "frictionless cones past the horizon")
+        R = np.stack([c.returns for c in cones])
+        ahead = X[leaves[at]] @ R.T  # wealth after each next step
+        low[at] = (ahead <= _WEALTH_FLOOR).any(axis=1)
+        term[at] = (spec.P[s, succ] / np.maximum(ahead, _WEALTH_FLOOR)) @ R
+    if low.any():
+        raise SolverError("zero post-return wealth at leaf "
+                          f"{leaves[low.argmax()]}")
     return DualPlan(tree, prices, term)

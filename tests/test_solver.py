@@ -404,6 +404,24 @@ def test_unbalanced_proportions_admit_no_price():
     assert residual > 1e-3
 
 
+def test_iid_three_state_chain_is_priced_at_the_default_starts():
+    # the dense price LP failed its final-basis check here at 32 starts
+    row = np.array([0.2, 0.5, 0.3])
+    R = np.array([[1.0, 1.3, 0.9], [1.0, 0.8, 1.2], [1.0, 1.1, 1.05]])
+    spec = MarkovSpec(["A", "B", "C"], [row] * 3)
+    table = ConeTable({f"*->{s}": ConeSpec.frictionless(r)
+                       for s, r in zip(spec.states, R)})
+    # Kelly growth of the row by Cover's multiplicative update
+    x = np.full(3, 1.0 / 3.0)
+    for _ in range(2000):
+        x = x * ((row / (R @ x)) @ R)
+    kelly = float(row @ np.log(R @ x))
+    eq = solve_stationary_equilibrium(spec, table)
+    assert kelly == pytest.approx(0.0847, abs=1e-4)
+    assert eq.log_growth == pytest.approx(kelly, abs=1e-6)
+    assert eq.certificate_residual <= 1e-7
+
+
 def test_stationary_rejects_degenerate_cones():
     dead = ConeTable({"*->*": ConeSpec.proportional_tc([1.0, 1.0],
                                                        0.0, 1.0)})
