@@ -80,7 +80,8 @@ _WEALTH_FLOOR = 1e-300
 # barrier weight cut per path-following stage (long step: the weighted
 # barrier keeps every node near its central path)
 _MU_FACTOR = 0.01
-_PRICE_ITERATIONS = 64  # cap of the stationary price iteration
+_PRICE_ITERATIONS = 64  # cap of the averaged stationary price iteration
+_PRICE_ROUNDS = 16  # cap of the policy-iteration rounds that follow
 
 
 class SolverError(RuntimeError):
@@ -662,51 +663,82 @@ def extract_equilibrium_prices(strategy: BalancedStrategy,
     Prices ``p(s) >= 0`` support the strategy when, over every
     positive-probability transition u -> v, ``p(v) . x(u) = 1`` (the
     support rows) and ``G_uv[i, j] d_i <= p(v)_j`` with ``d = sum_w
-    P(v, w) p(w) / alpha(v)`` (the dual-cone rows).  The least ``p(v)``
-    meeting the dual-cone rows of every step into ``v`` is ``T(p)(v) =
-    max over u of max_i G_uv[i, :] d_i``, the tree dual's recursion on
-    the chain.  ``T`` is monotone and homogeneous of degree one, and its
-    eigenvector is the price (Gaubert & Gunawardena, Trans. AMS 356,
-    2004).  The averaged map ``p <- (p + T(p) / max T(p)) / 2``, which
-    also settles on periodic chains, runs until no entry moves by more
-    than 1e-15, at most ``_PRICE_ITERATIONS`` times; the prices are then
-    scaled so that the support products centre on 1.
+    P(v, w) p(w) / alpha(v)`` (the dual-cone rows).  The least such
+    ``p(v)`` is ``T(p)(v) = max over u of max_i G_uv[i, :] d_i``, the
+    tree dual's recursion on the chain.  ``T`` is monotone and
+    homogeneous of degree one, and its eigenvector is the price (Gaubert
+    & Gunawardena, Trans. AMS 356, 2004).  The averaged map ``p <- (p +
+    T(p) / max T(p)) / 2``, which settles on periodic chains too, runs
+    until no entry moves by more than 1e-15, at most
+    ``_PRICE_ITERATIONS`` times.  Policy iteration then finishes slowly
+    mixing chains: ``T`` is the max of linear maps, one per choice of
+    ``(u, i)`` for each entry ``p(v)_j``, and a round solves the top
+    choices' map for its eigenvector (one inverse-iteration step, shifted
+    just above the spectral radius) until no other choice prices higher
+    there.  Of the two prices, each scaled so that the support products
+    centre on 1, the one violating the rows less is returned: on a
+    reducible chain ``T`` has several eigenvectors, and the averaged map
+    keeps one that is positive on every class.
 
-    Returns ``(prices, residual)``, the largest row violation at those
-    prices.  On an irreducible chain ``T(p) = lambda p`` forces ``lambda
-    >= 1``, with equality and equal support products exactly when some
-    price supports the strategy, so the residual is numerically zero
-    exactly when the strategy is rapid in the stationary sense.
-    Frictionless log-optimal strategies always admit prices; under
-    other cones a state's growth factor, the least over its
-    predecessors, can leave wealth unused, and no price supports that.
+    Returns ``(prices, residual)``, the largest row violation.  On an
+    irreducible chain ``T(p) = lambda p`` forces ``lambda >= 1``, with
+    equality and equal support products exactly when some price supports
+    the strategy, so the residual is numerically zero exactly when the
+    strategy is rapid in the stationary sense.  Under costly cones a
+    state's growth factor, the least over its predecessors, can leave
+    wealth unused, and no price supports that.
     """
     xs = np.stack([strategy.x[s] for s in spec.states])
     alpha = np.array([strategy.alpha[s] for s in spec.states])
-    # transitions u -> v with P[u, v] > 0, grouped by destination v
-    dest, src = np.nonzero(spec.P.T > 0.0)
-    G = np.stack([cone_table.resolve(spec.states[u], spec.states[v]).exchange
-                  for u, v in zip(src, dest)])
-    into, starts = np.unique(dest, return_index=True)
+    k, n = xs.shape
+    src, dest = np.nonzero(spec.P > 0.0)
+    G = np.zeros((k, k, n, n))  # G[u, v]; zero where P[u, v] == 0
+    G[src, dest] = [cone_table.resolve(spec.states[u], spec.states[v])
+                    .exchange for u, v in zip(src, dest)]
+    Q = spec.P / alpha[:, None]  # d(v) = Q[v] @ p
 
-    def steps(p):
-        """Least price of every transition's dual-cone rows."""
-        return _least_price(G, (spec.P @ p / alpha[:, None])[dest])
+    def offers(p):
+        """``G_uv[i, j] d(v)_i`` at ``[v, j, u * n + i]``; ``T(p)`` is the
+        max over the last axis (0 for states without predecessors)."""
+        O = G * (Q @ p)[None, :, :, None]
+        return O.transpose(1, 3, 0, 2).reshape(k, n, k * n)
 
-    p = np.ones(xs.shape)
+    def scaled(p):
+        """``p`` with support products centred on 1, and the largest
+        violation of the support and dual-cone rows there."""
+        support = (p[dest] * xs[src]).sum(axis=1)
+        c = 2.0 / (support.min() + support.max())
+        return c * p, max(float(np.abs(c * support - 1.0).max()),
+                          float(c * (offers(p).max(axis=-1) - p).max()))
+
+    p = np.ones((k, n))
     for _ in range(_PRICE_ITERATIONS):
-        Tp = np.zeros(p.shape)  # states without predecessors stay 0
-        Tp[into] = np.maximum.reduceat(steps(p), starts)
+        Tp = offers(p).max(axis=-1)
         p, last = 0.5 * (p + Tp / Tp.max()), p
         if np.abs(p - last).max() <= 1e-15:
             break
 
-    support = (p[dest] * xs[src]).sum(axis=1)
-    scale = 2.0 / (support.min() + support.max())
-    p *= scale
-    residual = max(float(np.abs(scale * support - 1.0).max()),
-                   float((steps(p) - p[dest]).max()))
-    return {spec.states[s]: p[s] for s in range(spec.k)}, residual
+    # policy iteration from p; A is the linear piece of T at the choices
+    v, j = np.indices((k, n))
+    q = p
+    choice = offers(q).argmax(axis=-1)
+    for _ in range(_PRICE_ROUNDS):
+        u, i = np.divmod(choice, n)
+        A = np.zeros((k, n, k, n))
+        A[v, j, :, i] = G[u, v, i, j][..., None] * Q[:, None, :]
+        A = A.reshape(k * n, k * n)
+        shift = (1.0 + 1e-13) * np.linalg.eigvals(A).real.max()
+        q = np.linalg.solve(shift * np.eye(k * n) - A, q.ravel())
+        q = np.maximum(q / q[np.abs(q).argmax()], 0.0).reshape(k, n)
+        O = offers(q)
+        own = np.take_along_axis(O, choice[..., None], axis=-1)[..., 0]
+        beaten = O.max(axis=-1) > own + 1e-13 * own.max()
+        if not beaten.any():
+            break
+        choice = np.where(beaten, O.argmax(axis=-1), choice)
+
+    p, residual = min(scaled(p), scaled(q), key=lambda c: c[1])
+    return {spec.states[s]: p[s] for s in range(k)}, residual
 
 
 # ---------------------------------------------------------------------------
@@ -728,37 +760,32 @@ def numeraire_dual_frictionless(plan: ContingentPlan,
     """
     tree = plan.tree
     spec = tree.spec
+    n = plan.n
     X = plan.x
-    prices = np.zeros((tree.n_nodes, plan.n))
-    # groups come in order of first edge: the first costly one names it
-    for cone, nodes, _ in _group_edges(tree, cone_table):
+    prices = np.zeros((tree.n_nodes, n))
+    for v in range(1, tree.n_nodes):
+        cone = cone_table.resolve(*tree.transition_label(v))
         if cone.family != FRICTIONLESS:
             raise ValueError("numeraire construction requires frictionless "
-                             f"cones; transition into node {nodes[0]} is "
+                             f"cones; transition into node {v} is "
                              f"{cone.family}")
-        prices[nodes] = cone.returns
-    wealth = (prices[1:] * X[tree.parent[1:]]).sum(axis=1)  # after returns
-    low = np.flatnonzero(wealth <= _WEALTH_FLOOR)
-    if low.size:
-        raise SolverError(f"zero post-return wealth above node {low[0] + 1}")
-    prices[1:] /= wealth[:, None]
-
+        denom = float(cone.returns @ X[tree.parent[v]])
+        if denom <= _WEALTH_FLOOR:
+            raise SolverError(f"zero post-return wealth above node {v}")
+        prices[v] = cone.returns / denom
     leaves = tree.leaves()
-    term = np.zeros((leaves.size, plan.n))
-    low = np.zeros(leaves.size, dtype=bool)
-    for s in np.unique(tree.state[leaves]):
-        at = tree.state[leaves] == s
-        succ = np.flatnonzero(spec.P[s] > 0.0)
-        cones = [cone_table.resolve(spec.states[s], spec.states[w])
-                 for w in succ]
-        if any(c.family != FRICTIONLESS for c in cones):
-            raise ValueError("numeraire construction requires "
-                             "frictionless cones past the horizon")
-        R = np.stack([c.returns for c in cones])
-        ahead = X[leaves[at]] @ R.T  # wealth after each next step
-        low[at] = (ahead <= _WEALTH_FLOOR).any(axis=1)
-        term[at] = (spec.P[s, succ] / np.maximum(ahead, _WEALTH_FLOOR)) @ R
-    if low.any():
-        raise SolverError("zero post-return wealth at leaf "
-                          f"{leaves[low.argmax()]}")
+    term = np.zeros((leaves.size, n))
+    for i, v in enumerate(leaves):
+        s = tree.state[v]
+        acc = np.zeros(n)
+        for w in np.flatnonzero(spec.P[s] > 0.0):
+            cone = cone_table.resolve(spec.states[s], spec.states[w])
+            if cone.family != FRICTIONLESS:
+                raise ValueError("numeraire construction requires "
+                                 "frictionless cones past the horizon")
+            denom = float(cone.returns @ X[v])
+            if denom <= _WEALTH_FLOOR:
+                raise SolverError(f"zero post-return wealth at leaf {v}")
+            acc += spec.P[s, w] * cone.returns / denom
+        term[i] = acc
     return DualPlan(tree, prices, term)
