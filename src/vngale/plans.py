@@ -29,19 +29,35 @@ __all__ = [
 ]
 
 
-def _plan_array(tree: ScenarioTree, data, n: int, start_depth: int = 0):
-    """Normalize a node->vector map (or array) to an (n_nodes, n) array."""
+def _plan_array(tree: ScenarioTree, data, n: int | None = None,
+                start_depth: int = 0):
+    """Normalize a node->vector map (or array) to an (n_nodes, n) array.
+
+    ``n`` defaults to the length of the vectors given.  The rows of every
+    node of depth >= ``start_depth`` must be given, finite and
+    nonnegative.  A map covers exactly those nodes: any other id
+    (negative, past the last node, or of a shallower node) raises
+    ``ValueError``, and the shallower rows are zero.  An array must have
+    one row per node; its shallower rows are kept unchecked.
+    """
+    lo = int(tree.depth_start[start_depth])
     if isinstance(data, dict):
+        if n is None:
+            n = np.asarray(next(iter(data.values()))).size
         arr = np.full((tree.n_nodes, n), np.nan)
+        arr[:lo] = 0.0
         for v, vec in data.items():
+            if not lo <= int(v) < tree.n_nodes:
+                raise ValueError(
+                    f"node id {v} outside {lo}..{tree.n_nodes - 1}")
             arr[int(v)] = np.asarray(vec, dtype=float)
     else:
         arr = np.array(data, dtype=float)
-        if arr.shape != (tree.n_nodes, n):
+        if arr.ndim != 2 or arr.shape[0] != tree.n_nodes \
+                or n not in (None, arr.shape[1]):
             raise ValueError(
-                f"expected array of shape ({tree.n_nodes}, {n})"
+                f"expected array of shape ({tree.n_nodes}, {n or 'n'})"
             )
-    lo = tree.depth_start[start_depth]
     if np.isnan(arr[lo:]).any():
         missing = int(np.flatnonzero(np.isnan(arr[lo:]).any(axis=1))[0] + lo)
         raise ValueError(f"no vector given for node {missing}")
@@ -69,11 +85,6 @@ class ContingentPlan:
                  units: str = "market"):
         if units not in ("market", "physical"):
             raise ValueError(f"unknown value convention: {units!r}")
-        if n is None:
-            if isinstance(portfolio, dict):
-                n = np.asarray(next(iter(portfolio.values()))).size
-            else:
-                n = np.asarray(portfolio).shape[1]
         arr = _plan_array(tree, portfolio, n)
         arr.flags.writeable = False
         object.__setattr__(self, "tree", tree)
@@ -118,36 +129,16 @@ class DualPlan:
     terminal: np.ndarray
 
     def __init__(self, tree: ScenarioTree, prices, terminal):
-        if isinstance(prices, dict):
-            n = np.asarray(next(iter(prices.values()))).size
-            arr = np.full((tree.n_nodes, n), np.nan)
-            arr[0] = 0.0
-            for v, vec in prices.items():
-                arr[int(v)] = np.asarray(vec, dtype=float)
-            prices = arr
-        else:
-            prices = np.array(prices, dtype=float)
-        if prices.ndim != 2 or prices.shape[0] != tree.n_nodes:
-            raise ValueError("prices must cover every node")
-        if np.isnan(prices[1:]).any() or not np.isfinite(prices[1:]).all():
-            raise ValueError("prices must be finite on depths 1..T")
-        if (prices[1:] < 0).any():
-            raise ValueError("prices must be nonnegative")
-        leaves = tree.leaves()
+        prices = _plan_array(tree, prices, start_depth=1)
+        n = prices.shape[1]
+        lo = int(tree.depth_start[tree.horizon])
         if isinstance(terminal, dict):
-            term = np.full((leaves.size, prices.shape[1]), np.nan)
-            lo = int(leaves[0])
-            for v, vec in terminal.items():
-                term[int(v) - lo] = np.asarray(vec, dtype=float)
-            terminal = term
-        else:
-            terminal = np.array(terminal, dtype=float)
-        if terminal.shape != (leaves.size, prices.shape[1]):
+            terminal = _plan_array(tree, terminal, n, tree.horizon)[lo:]
+        terminal = np.array(terminal, dtype=float)
+        if terminal.shape != (tree.n_nodes - lo, n):
             raise ValueError("terminal layer must cover every leaf")
-        if np.isnan(terminal).any() or not np.isfinite(terminal).all():
-            raise ValueError("terminal prices must be finite")
-        if (terminal < 0).any():
-            raise ValueError("terminal prices must be nonnegative")
+        if not np.isfinite(terminal).all() or (terminal < 0).any():
+            raise ValueError("terminal prices must be finite and nonnegative")
         prices.flags.writeable = False
         terminal.flags.writeable = False
         object.__setattr__(self, "tree", tree)

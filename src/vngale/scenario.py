@@ -98,38 +98,31 @@ class MarkovSpec:
     def stationary_distribution(self) -> np.ndarray:
         """Invariant law pi with pi P = pi, residual below 1e-10.
 
-        Solved as a least-squares system with the normalization row; if
-        that produces negative mass (possible for reducible chains), a
-        Cesaro-averaged power iteration is used instead, which converges
-        for every finite chain including periodic ones.
+        One method: the Cesaro limit of the chain started from the uniform
+        law, pi = uniform @ M, with M the limit of the powers of the lazy
+        chain (I + P)/2, which is aperiodic and has the Cesaro limit of P.
+        M is found by squaring, with rows renormalized after each squaring
+        (rounding would otherwise grow them to overflow), at most 64 times
+        and until a squaring leaves M unchanged.  On an irreducible chain
+        this is the unique invariant law.  On a reducible chain each closed
+        class carries its own invariant law scaled by the probability that
+        the uniform start ends in it, and transient states carry none.
+        Raises ``RuntimeError`` if the residual check fails.
         """
-        k = self.k
-        A = np.vstack([self.P.T - np.eye(k), np.ones((1, k))])
-        rhs = np.zeros(k + 1)
-        rhs[-1] = 1.0
-        pi = np.linalg.lstsq(A, rhs, rcond=None)[0]
-        if (pi > -1e-12).all():
-            pi = np.clip(pi, 0.0, None)
-            pi /= pi.sum()
-            if float(np.abs(pi @ self.P - pi).max()) <= 1e-10:
-                return pi
-        # Cesaro fallback
-        x = np.full(k, 1.0 / k)
-        acc = np.zeros(k)
-        for i in range(1, 200001):
-            x = x @ self.P
-            acc += x
-            if i % 100 == 0:
-                cand = acc / i
-                if float(np.abs(cand @ self.P - cand).max()) <= 1e-11:
-                    return cand / cand.sum()
-        cand = acc / 200000
-        res = float(np.abs(cand @ self.P - cand).max())
+        M = 0.5 * (np.eye(self.k) + self.P)
+        for _ in range(64):
+            M2 = M @ M
+            M2 /= M2.sum(axis=1, keepdims=True)
+            if np.array_equal(M2, M):
+                break
+            M = M2
+        pi = np.full(self.k, 1.0 / self.k) @ M
+        res = float(np.abs(pi @ self.P - pi).max())
         if res > 1e-10:
             raise RuntimeError(
                 f"stationary distribution did not converge (residual {res:.2e})"
             )
-        return cand / cand.sum()
+        return pi
 
     def to_dict(self) -> dict:
         return {
@@ -227,10 +220,6 @@ def build_tree(spec: MarkovSpec, horizon: int,
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    k = spec.k
-    support = [np.flatnonzero(spec.P[s] > 0.0) for s in range(k)]
-    sup_n = np.array([s.size for s in support])
-
     root_idx = -1 if root_state is None else spec.state_index(root_state)
     first_law = spec.pi0 if root_state is None else spec.P[root_idx]
 
@@ -239,38 +228,19 @@ def build_tree(spec: MarkovSpec, horizon: int,
     cond = [np.array([1.0])]
     absp = [np.array([1.0])]
     depth_start = [0, 1]
-    total = 1
-
-    # depth 1: initial distribution support
-    init = np.flatnonzero(first_law > 0.0)
-    parent.append(np.zeros(init.size, dtype=int))
-    state.append(init)
-    cond.append(first_law[init])
-    absp.append(first_law[init])
-    total += init.size
-    depth_start.append(total)
-    if total > node_limit:
-        raise ValueError(f"node limit exceeded: {total} > {node_limit}")
-
-    for _ in range(2, horizon + 1):
-        ids = np.arange(depth_start[-2], depth_start[-1])
-        sd = state[-1]
-        counts = sup_n[sd]
-        new_total = total + int(counts.sum())
-        if new_total > node_limit:
-            raise ValueError(
-                f"node limit exceeded: {new_total} > {node_limit}"
-            )
-        par = np.repeat(ids, counts)
-        st = (np.concatenate([support[s] for s in sd]) if sd.size
-              else np.zeros(0, dtype=int))
-        cp = spec.P[np.repeat(sd, counts), st]
-        ap = np.repeat(absp[-1], counts) * cp
-        parent.append(par)
+    for d in range(1, horizon + 1):
+        # one row of next-state probabilities per node of depth d - 1;
+        # nonzero scans row-major, so children come out breadth-first
+        rows = first_law[None] if d == 1 else spec.P[state[-1]]
+        par, st = np.nonzero(rows > 0.0)
+        total = depth_start[-1] + par.size
+        if total > node_limit:
+            raise ValueError(f"node limit exceeded: {total} > {node_limit}")
+        cp = rows[par, st]
+        parent.append(par + depth_start[-2])
         state.append(st)
         cond.append(cp)
-        absp.append(ap)
-        total = new_total
+        absp.append(absp[-1][par] * cp)
         depth_start.append(total)
 
     parent = np.concatenate(parent)
@@ -288,21 +258,14 @@ def build_tree(spec: MarkovSpec, horizon: int,
     first_child[kids[first]] = first + 1
     n_children = np.bincount(kids, minlength=n)
 
-    for arr in (parent, state, cond, absp, first_child, n_children):
+    depth = np.repeat(np.arange(horizon + 1), np.diff(depth_start))
+    for arr in (parent, depth, state, cond, absp, first_child, n_children):
         arr.flags.writeable = False
     return ScenarioTree(spec=spec, horizon=horizon, parent=parent,
-                        depth=_depths_from_starts(depth_start, n),
+                        depth=depth,
                         state=state, cond_prob=cond, abs_prob=absp,
                         first_child=first_child, n_children=n_children,
                         depth_start=_readonly(depth_start, dtype=int))
-
-
-def _depths_from_starts(depth_start, n) -> np.ndarray:
-    depth = np.zeros(n, dtype=int)
-    for d in range(len(depth_start) - 1):
-        depth[depth_start[d]: depth_start[d + 1]] = d
-    depth.flags.writeable = False
-    return depth
 
 
 def conditional_expectation(tree: ScenarioTree, f: dict, t: int) -> dict:

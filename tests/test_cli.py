@@ -293,6 +293,23 @@ class TestCertify:
         assert rep["verdict"] == "fail"
         assert abs(rep["support_residual"] - 0.5) < 1e-9
 
+    def test_node_ids_outside_the_tree(self, coin_model, tmp_path, capsys):
+        # a horizon edited from 3 to 2 leaves ids past the 7-node tree,
+        # and a stray id 999 lies past the 15-node one: both are schema
+        # errors (exit 2), not an IndexError
+        res = self.solve(coin_model, tmp_path)
+        doc = json.loads(res.read_text())
+        short = write_json(tmp_path / "short.json", {**doc, "horizon": 2})
+        stray = json.loads(res.read_text())
+        stray["plan"]["portfolio"]["999"] = [0.5, 0.5]
+        stray = write_json(tmp_path / "stray.json", stray)
+        for bad in (short, stray):
+            capsys.readouterr()
+            rc = main(["certify", "--model", coin_model, "--plan", bad,
+                       "--dual", bad, "--competitors", "5"])
+            assert rc == 2
+            assert "outside" in capsys.readouterr().err
+
     def test_missing_dual(self, coin_model, tmp_path, capsys):
         res = self.solve(coin_model, tmp_path, extra=("--skip-dual",))
         capsys.readouterr()

@@ -45,6 +45,23 @@ def test_plan_requires_every_node():
                        units="imaginary")
 
 
+def test_maps_reject_ids_outside_their_nodes():
+    # negative ids and terminal ids below the first leaf used to wrap
+    # around onto other rows; ids past the tree raised IndexError
+    tree = two_state_tree()
+    full = {v: [1.0, 0.0] for v in range(tree.n_nodes)}
+    prices = {v: [1.0, 0.0] for v in range(1, tree.n_nodes)}
+    terminal = {int(v): [1.0, 0.0] for v in tree.leaves()}
+    for bad in (-1, tree.n_nodes):
+        with pytest.raises(ValueError, match="outside"):
+            ContingentPlan(tree, {**full, bad: [1.0, 0.0]})
+        with pytest.raises(ValueError, match="outside"):
+            DualPlan(tree, {**prices, bad: [1.0, 0.0]}, terminal)
+    below = int(tree.leaves()[0]) - 1
+    with pytest.raises(ValueError, match="outside"):
+        DualPlan(tree, prices, {**terminal, below: [1.0, 0.0]})
+
+
 def test_plan_round_trip():
     tree = two_state_tree()
     rng = np.random.default_rng(1)

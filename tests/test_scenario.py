@@ -61,6 +61,35 @@ def test_stationary_distribution_periodic_chain():
     assert pi == pytest.approx([0.5, 0.5], abs=1e-10)
 
 
+# six states draining into the absorbing state 5; state 2 leaves only
+# with probability 6e-5 a step, so a plain power iteration crawls
+ABSORBING6 = [[0.1, 0, 0, 0, 0, 0.9],
+              [0, 0.43, 0.43, 0, 0, 0.14],
+              [0, 0, 0.99994, 0, 0.00006, 0],
+              [0, 0, 0, 0.1, 0.9, 0],
+              [0, 0, 0, 0, 0.003, 0.997],
+              [0, 0, 0, 0, 0, 1]]
+
+
+def test_stationary_distribution_absorbing_chain():
+    spec = MarkovSpec([str(i) for i in range(6)], ABSORBING6)
+    assert np.abs(spec.stationary_distribution() - np.eye(6)[5]).max() \
+        <= 1e-12
+
+
+def test_stationary_distribution_reducible_chain_is_the_cesaro_limit():
+    # state 0 is transient, states 1 and 2 are closed; from the uniform
+    # start, a closed state keeps its own third plus the transient mass
+    # absorbed into it, B = (I - Q)^-1 R
+    P = np.array([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    Q, R = P[:1, :1], P[:1, 1:]
+    B = np.linalg.solve(np.eye(1) - Q, R)
+    expected = np.concatenate([[0.0], (1.0 + B[0]) / 3.0])
+    assert expected == pytest.approx([0.0, 2 / 3, 1 / 3], abs=1e-15)
+    pi = MarkovSpec(["T", "A", "B"], P).stationary_distribution()
+    assert np.abs(pi - expected).max() <= 1e-12
+
+
 def test_markov_round_trip():
     spec = MarkovSpec(["A", "B"], [[0.9, 0.1], [0.5, 0.5]], pi0=[1.0, 0.0])
     again = MarkovSpec.from_dict(spec.to_dict())

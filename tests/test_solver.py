@@ -422,6 +422,27 @@ def test_iid_three_state_chain_is_priced_at_the_default_starts():
     assert eq.certificate_residual <= 1e-7
 
 
+def test_stationary_solves_an_absorbing_chain():
+    # every path ends in state 5, whose stationary weight is 1; its
+    # growth factor is the least over its predecessors, so the best
+    # strategy holds the asset with the largest return into 5 everywhere
+    # (the transient states are not priced, so the residual is not checked)
+    P = [[0.1, 0, 0, 0, 0, 0.9],
+         [0, 0.43, 0.43, 0, 0, 0.14],
+         [0, 0, 0.99994, 0, 0.00006, 0],
+         [0, 0, 0, 0.1, 0.9, 0],
+         [0, 0, 0, 0, 0.003, 0.997],
+         [0, 0, 0, 0, 0, 1]]
+    spec = MarkovSpec([str(i) for i in range(6)], P)
+    R = np.array([[1.0, 1.3, 0.7], [1.0, 0.8, 1.2], [1.0, 1.1, 0.9],
+                  [1.0, 1.4, 0.6], [1.0, 0.9, 1.5], [1.0, 1.25, 0.9]])
+    table = ConeTable({f"*->{s}": ConeSpec.frictionless(r)
+                       for s, r in zip(spec.states, R)})
+    eq = solve_stationary_equilibrium(spec, table, starts=4)
+    assert eq.stationary["5"] == pytest.approx(1.0, abs=1e-12)
+    assert eq.log_growth == pytest.approx(np.log(R[5].max()), abs=1e-6)
+
+
 def test_stationary_rejects_degenerate_cones():
     dead = ConeTable({"*->*": ConeSpec.proportional_tc([1.0, 1.0],
                                                        0.0, 1.0)})
