@@ -38,9 +38,13 @@ wealth a supermartingale.
 The stationary solver searches over per-state simplex proportions with a
 seeded multistart pattern search, growth factors being recovered per
 transition as the largest feasible scale toward the destination
-proportions.  Each sweep of the search is one stacked evaluation: every
-feasible move's trial table goes through one boundary-scale call per
-(predecessor, state) pair.  Supporting state prices come from the
+proportions.  All starts advance in lockstep, each with its own step
+size, and each sweep is one stacked evaluation: the feasible moves of
+every running start go through one boundary-scale call per
+(predecessor, state) pair, in chunks of at most
+``_SEARCH_CHUNK_ELEMENTS`` elements (tables x facet rows).  A table's
+value does not depend on the stack it sits in, so every start ends
+where it would alone, bit for bit.  Supporting state prices come from the
 tree's least-price recursion, run on the chain to its fixed point.
 """
 
@@ -82,6 +86,10 @@ _WEALTH_FLOOR = 1e-300
 _MU_FACTOR = 0.01
 _PRICE_ITERATIONS = 64  # cap of the averaged stationary price iteration
 _PRICE_ROUNDS = 16  # cap of the policy-iteration rounds that follow
+# the stationary pattern search evaluates its trial tables in chunks of at
+# most this many elements (tables x the largest facet-row count), so wide
+# currency cones keep their per-table cost and memory at any start count
+_SEARCH_CHUNK_ELEMENTS = 1 << 14
 
 
 class SolverError(RuntimeError):
@@ -532,6 +540,9 @@ class _StationaryProgram:
              for u in np.flatnonzero(spec.P[:, v] > 0.0)]
             for v in range(spec.k)
         ]
+        # largest facet-row count of a transition: sets the search chunks
+        self.rows = max((cone.facets[0].shape[0] for preds in self.preds
+                         for _, cone in preds), default=1)
 
     def growth_factors(self, xs):
         """alpha[..., v]: largest scale of x(v) reachable from every
@@ -574,38 +585,62 @@ def _pattern_search(xs0, prog, h0=0.25, h_min=1e-7):
     factors are minima over predecessor states, so single-state moves
     can stall on the ridge where two predecessors tie.  A move is
     feasible when every state it touches holds at least h of asset j.
-    Each sweep evaluates all feasible moves as one stack and takes the
-    first of the best (moves ordered by scope, then i, then j), if it
-    gains more than 1e-15.
+    Each sweep takes the first of the best feasible moves (ordered by
+    scope, then i, then j) if it gains more than 1e-15, and halves h
+    otherwise; the search ends when h falls below ``h_min``.
+
+    ``xs0`` is one ``(k, n)`` table, giving ``(table, float)``, or a
+    stack ``(S, k, n)`` of starts, giving ``(tables, (S,) values)``.  The
+    starts run in lockstep, each with its own h: a sweep builds the
+    moves of every running start in one broadcast and evaluates the
+    feasible ones as one stack, in chunks of at most
+    ``_SEARCH_CHUNK_ELEMENTS`` elements.  A table's value does not depend
+    on the stack it sits in, so each start's path is bit for bit the one
+    it takes alone.
     """
-    xs = xs0.copy()
-    k, n = xs.shape
-    f_cur, _ = prog.value(xs)
+    single = np.ndim(xs0) == 2
+    xs = np.array(xs0, dtype=float, ndmin=3)
+    S, k, n = xs.shape
+    f_cur = _search_values(prog, xs)
     scopes = [[s] for s in range(k)] + ([list(range(k))] if k > 1 else [])
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     delta = np.zeros((len(scopes) * len(pairs), k, n))  # unit moves
     for m, (scope, (i, j)) in enumerate(product(scopes, pairs)):
         delta[m, scope, i] = 1.0
         delta[m, scope, j] = -1.0
-    source = delta < 0.0
-    h = h0
-    while h >= h_min:
-        feasible = ((xs >= h - 1e-15) | ~source).all(axis=(1, 2))
-        best = None
+    # source[c, m]: move m takes mass from cell c = (state, asset)
+    source = (delta < 0.0).reshape(len(delta), k * n).T
+    h = np.full(S, float(h0))
+    live = np.flatnonzero(h >= h_min) if pairs else np.arange(0)
+    while live.size:
+        hl = h[live, None, None]
+        short = (xs[live] < hl - 1e-15).reshape(live.size, k * n)
+        feasible = ~(short @ source)
+        trials = np.maximum(xs[live, None] + hl[:, None] * delta, 0.0)
+        f_new = np.full(feasible.shape, -np.inf)
+        gain = np.full(feasible.shape, -np.inf)
         if feasible.any():
-            trials = np.maximum(xs + h * delta[feasible], 0.0)
-            f_new, _ = prog.value(trials)
-            gain = f_new - f_cur
-            gain[np.isnan(gain)] = -np.inf  # -inf to -inf is no gain
-            best = int(np.argmax(gain))
-            if not gain[best] > 1e-15:
-                best = None
-        if best is None:
-            h *= 0.5
-        else:
-            xs = trials[best]
-            f_cur = float(f_new[best])
-    return xs, f_cur
+            f_new[feasible] = _search_values(prog, trials[feasible])
+            # a dead trial gains nothing, also from a dead start
+            np.subtract(f_new, f_cur[live, None], out=gain,
+                        where=f_new > -np.inf)
+        best = gain.argmax(axis=1)
+        row = np.arange(live.size)
+        moved = gain[row, best] > 1e-15
+        row, best = row[moved], best[moved]
+        xs[live[row]] = trials[row, best]
+        f_cur[live[row]] = f_new[row, best]
+        h[live[~moved]] *= 0.5
+        live = live[h[live] >= h_min]
+    return (xs[0], float(f_cur[0])) if single else (xs, f_cur)
+
+
+def _search_values(prog, xs):
+    """``prog.value`` of a stack of tables, in chunks of at most
+    ``_SEARCH_CHUNK_ELEMENTS`` (tables x facet rows)."""
+    size = max(1, _SEARCH_CHUNK_ELEMENTS // prog.rows)
+    return np.concatenate([prog.value(xs[i:i + size])[0]
+                           for i in range(0, len(xs), size)])
 
 
 def solve_stationary_equilibrium(spec: MarkovSpec, cone_table,
@@ -615,8 +650,11 @@ def solve_stationary_equilibrium(spec: MarkovSpec, cone_table,
 
     Searches per-state proportion vectors on the simplex by multistart
     pattern search (start 0 is the uniform portfolio; the rest are seeded
-    Dirichlet draws, so results are reproducible).  Growth factors are
-    the binding boundary scales over all positive-probability
+    Dirichlet draws, so results are reproducible).  All starts are drawn
+    first and searched in lockstep (:func:`_pattern_search`); each ends
+    where it would alone.  Taken in start order, a start replaces the
+    best so far when its growth is higher by more than 1e-12.  Growth
+    factors are the binding boundary scales over all positive-probability
     predecessors.  Supporting prices and the certificate residual come
     from the fixed-point iteration of :func:`extract_equilibrium_prices`.
     """
@@ -626,13 +664,10 @@ def solve_stationary_equilibrium(spec: MarkovSpec, cone_table,
     pi = prog.pi
     rng = np.random.default_rng(seed)
 
+    xs0 = [np.full((k, n), 1.0 / n)]
+    xs0 += [rng.dirichlet(np.ones(n), size=k) for _ in range(starts - 1)]
     best = (-np.inf, None)
-    for s_idx in range(max(starts, 1)):
-        if s_idx == 0:
-            xs0 = np.full((k, n), 1.0 / n)
-        else:
-            xs0 = rng.dirichlet(np.ones(n), size=k)
-        xs, f = _pattern_search(xs0, prog)
+    for xs, f in zip(*_pattern_search(np.stack(xs0), prog)):
         if f > best[0] + 1e-12:
             best = (f, xs)
     if best[1] is None or not np.isfinite(best[0]):

@@ -1,0 +1,252 @@
+"""Lockstep multistart pattern search against the per-start loop.
+
+``solver._pattern_search`` advances every start of a stack in lockstep
+and evaluates each sweep's trial tables as one stack, in chunks of
+``solver._SEARCH_CHUNK_ELEMENTS``.  The search it replaced ran one start
+at a time; that search and the multistart loop around it are kept here
+as the reference, and every result must equal theirs exactly.
+"""
+
+import numpy as np
+import pytest
+
+from vngale import solver
+from vngale.cones import ConeSpec, ConeTable
+from vngale.plans import BalancedStrategy
+from vngale.scenario import MarkovSpec
+from vngale.solver import (
+    EquilibriumResult,
+    SolverError,
+    _pattern_search,
+    _StationaryProgram,
+    extract_equilibrium_prices,
+    solve_stationary_equilibrium,
+)
+
+CHAINS = {
+    "coin": MarkovSpec(["U", "D"], [[0.5, 0.5], [0.5, 0.5]]),
+    "regime3": MarkovSpec(["L", "M", "H"], [[0.8, 0.15, 0.05],
+                                            [0.1, 0.8, 0.1],
+                                            [0.05, 0.15, 0.8]]),
+    "skew3": MarkovSpec(["A", "B", "C"], [[0.98, 0.01, 0.01]] * 3),
+    "one": MarkovSpec(["S"], [[1.0]]),
+}
+RETURNS = [[1.0, 2.0, 0.7], [1.0, 0.5, 1.4], [1.0, 1.1, 0.95]]
+# valid exchange-rate matrices, one per state in chain order; the last
+# is the mispriced triangle of demos/currency_triangle.py
+EXCHANGE = [
+    [[1.0, 1.25, 0.8], [0.75, 1.0, 1.1], [1.15, 0.85, 1.0]],
+    [[1.0, 0.7, 1.05], [1.3, 1.0, 0.9], [0.9, 1.05, 1.0]],
+    [[1.00, 0.95, 0.78], [1.04, 1.00, 0.72], [1.25, 1.32, 1.00]],
+]
+
+
+def _table(family, spec, n=3):
+    out = {}
+    for s, state in enumerate(spec.states):
+        if family == "currency":
+            out[f"*->{state}"] = ConeSpec.currency(EXCHANGE[-1 - s])
+        elif family == "frictionless":
+            out[f"*->{state}"] = ConeSpec.frictionless(RETURNS[s][:n])
+        else:
+            out[f"*->{state}"] = ConeSpec.proportional_tc(RETURNS[s][:n],
+                                                          0.01, 0.02)
+    return ConeTable(out)
+
+
+def _pair_chain():
+    """The currency pair chain of tests/test_tree_stationary_growth.py:
+    the coin chain on (last state, state) pairs."""
+    names = ["UU", "UD", "DU", "DD"]
+    P = [[0.5 if a[1] == b[0] else 0.0 for b in names] for a in names]
+    cones = {"U": ConeSpec.currency([[1.0, 1.2], [0.7, 1.0]]),
+             "D": ConeSpec.currency([[1.0, 0.6], [1.1, 1.0]])}
+    return MarkovSpec(names, P), ConeTable({f"*->{s}": cones[s[1]]
+                                            for s in names})
+
+
+def _search_one(xs0, prog, h0=0.25, h_min=1e-7):
+    """The pattern search of one start, one sweep at a time."""
+    xs = xs0.copy()
+    k, n = xs.shape
+    f_cur, _ = prog.value(xs)
+    scopes = [[s] for s in range(k)] + ([list(range(k))] if k > 1 else [])
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    delta = np.zeros((len(scopes) * len(pairs), k, n))
+    m = 0
+    for scope in scopes:
+        for i, j in pairs:
+            delta[m, scope, i] = 1.0
+            delta[m, scope, j] = -1.0
+            m += 1
+    source = delta < 0.0
+    h = h0
+    while h >= h_min:
+        feasible = ((xs >= h - 1e-15) | ~source).all(axis=(1, 2))
+        best = None
+        if feasible.any():
+            trials = np.maximum(xs + h * delta[feasible], 0.0)
+            f_new, _ = prog.value(trials)
+            with np.errstate(invalid="ignore"):
+                gain = f_new - f_cur
+            gain[np.isnan(gain)] = -np.inf
+            best = int(np.argmax(gain))
+            if not gain[best] > 1e-15:
+                best = None
+        if best is None:
+            h *= 0.5
+        else:
+            xs = trials[best]
+            f_cur = float(f_new[best])
+    return xs, f_cur
+
+
+def _starts(k, n, starts, seed):
+    rng = np.random.default_rng(seed)
+    out = [np.full((k, n), 1.0 / n)]
+    return out + [rng.dirichlet(np.ones(n), size=k)
+                  for _ in range(starts - 1)]
+
+
+def _solve_loop(spec, table, starts, seed=0):
+    """``solve_stationary_equilibrium`` running one start after another."""
+    prog = _StationaryProgram(spec, table)
+    best = (-np.inf, None)
+    for xs0 in _starts(spec.k, table.n, max(starts, 1), seed):
+        xs, f = _search_one(xs0, prog)
+        if f > best[0] + 1e-12:
+            best = (f, xs)
+    if best[1] is None or not np.isfinite(best[0]):
+        raise SolverError("no start produced a positive growth factor")
+    xs = best[1]
+    alpha = prog.growth_factors(xs)
+    strategy = BalancedStrategy(
+        x={s: xs[i] for i, s in enumerate(spec.states)},
+        alpha={s: float(alpha[i]) for i, s in enumerate(spec.states)})
+    prices, residual = extract_equilibrium_prices(strategy, spec, table)
+    return EquilibriumResult(
+        strategy=strategy, prices=prices,
+        log_growth=float(prog.pi @ np.log(alpha)),
+        certificate_residual=residual,
+        stationary={s: float(w) for s, w in zip(spec.states, prog.pi)})
+
+
+def _assert_same_result(spec, table, starts, seed=0):
+    got = solve_stationary_equilibrium(spec, table, starts=starts, seed=seed)
+    assert got.to_dict() == _solve_loop(spec, table, starts, seed).to_dict()
+
+
+# (family, chain, n); costly cones on regime3 take two assets: with
+# three, one of 32 starts crawls for ~10^5 sweeps (about 40 s alone)
+CASES = [(family, chain, 2 if (family, chain) == ("proportional_tc",
+                                                 "regime3") else 3)
+         for family in ("frictionless", "proportional_tc", "currency")
+         for chain in CHAINS]
+
+
+@pytest.mark.parametrize("starts", [0, 1, 2, 8, 32])
+@pytest.mark.parametrize("family,chain,n", CASES)
+def test_solve_equals_per_start_loop(family, chain, n, starts):
+    spec = CHAINS[chain]
+    _assert_same_result(spec, _table(family, spec, n), starts)
+
+
+def test_solve_equals_per_start_loop_three_costly_assets():
+    spec = CHAINS["regime3"]
+    _assert_same_result(spec, _table("proportional_tc", spec), 8, seed=1)
+
+
+def test_pair_chain_equals_per_start_loop():
+    spec, table = _pair_chain()
+    _assert_same_result(spec, table, 4)
+
+
+def _assert_rows_equal(xs0, prog, **kw):
+    xs, f = _pattern_search(xs0, prog, **kw)
+    assert xs.shape == xs0.shape and f.shape == (len(xs0),)
+    for s in range(len(xs0)):
+        xs_ref, f_ref = _search_one(xs0[s], prog, **kw)
+        np.testing.assert_array_equal(xs[s], xs_ref)
+        assert f[s] == f_ref
+        xs_one, f_one = _pattern_search(xs0[s], prog, **kw)
+        np.testing.assert_array_equal(xs_one, xs_ref)
+        assert isinstance(f_one, float) and f_one == f_ref
+
+
+@pytest.mark.parametrize("family", ["frictionless", "proportional_tc",
+                                    "currency"])
+@pytest.mark.parametrize("chain", ["coin", "regime3", "one"])
+def test_stacked_search_equals_per_start_rows(family, chain):
+    spec = CHAINS[chain]
+    prog = _StationaryProgram(spec, _table(family, spec))
+    xs0 = np.stack(_starts(spec.k, 3, 6, 3))
+    _assert_rows_equal(xs0, prog)
+    # a coarser stopping size
+    _assert_rows_equal(xs0, prog, h_min=1e-3)
+
+
+def test_stacked_search_single_asset_returns_its_starts():
+    spec = CHAINS["regime3"]
+    prog = _StationaryProgram(spec, ConeTable(
+        {"*->*": ConeSpec.proportional_tc([1.1], 0.01, 0.02)}))
+    xs0 = np.ones((4, 3, 1))
+    xs, f = _pattern_search(xs0, prog)
+    np.testing.assert_array_equal(xs, xs0)
+    np.testing.assert_array_equal(f, prog.value(xs0)[0])
+    _assert_rows_equal(xs0, prog)
+
+
+def test_stacked_search_with_a_dead_start():
+    # asset 1 cannot be sold: a state holding only asset 1 cannot reach
+    # a state holding only asset 0, so that start has value -inf
+    spec = CHAINS["coin"]
+    cone = ConeSpec.proportional_tc([1.0, 1.3], 0.01, [0.02, 1.0])
+    prog = _StationaryProgram(spec, ConeTable({"*->*": cone}))
+    dead = np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert prog.value(dead)[0] == -np.inf
+    xs0 = np.stack([dead, np.full((2, 2), 0.5), dead[::-1]])
+    _assert_rows_equal(xs0, prog)
+
+
+@pytest.mark.parametrize("family,chain", [
+    ("proportional_tc", "coin"),
+    ("currency", "regime3"),
+    ("frictionless", "skew3"),
+])
+def test_chunk_boundaries_change_nothing(monkeypatch, family, chain):
+    spec = CHAINS[chain]
+    table = _table(family, spec)
+    prog = _StationaryProgram(spec, table)
+    xs0 = np.stack(_starts(spec.k, 3, 8, 0))
+    xs, f = _pattern_search(xs0, prog)
+    eq = solve_stationary_equilibrium(spec, table, starts=8).to_dict()
+    # three tables per chunk: every sweep crosses chunk boundaries
+    monkeypatch.setattr(solver, "_SEARCH_CHUNK_ELEMENTS", 3 * prog.rows)
+    xs_c, f_c = _pattern_search(xs0, prog)
+    np.testing.assert_array_equal(xs_c, xs)
+    np.testing.assert_array_equal(f_c, f)
+    assert solve_stationary_equilibrium(spec, table,
+                                        starts=8).to_dict() == eq
+
+
+def test_lockstep_takes_one_stacked_evaluation_per_sweep(monkeypatch):
+    spec = CHAINS["coin"]
+    prog = _StationaryProgram(spec, _table("proportional_tc", spec))
+    xs0 = np.stack(_starts(spec.k, 3, 8, 0))
+    moves = (spec.k + 1) * 3 * 2
+    assert len(xs0) * moves * prog.rows <= solver._SEARCH_CHUNK_ELEMENTS
+    calls = []
+    value = _StationaryProgram.value
+    monkeypatch.setattr(_StationaryProgram, "value",
+                        lambda self, xs: calls.append(1) or value(self, xs))
+    sweeps = []
+    for start in xs0:
+        calls.clear()
+        _search_one(start, prog)
+        # every sweep has a feasible move (some asset holds >= 1/3 > h),
+        # so each sweep is one call after the start's own
+        sweeps.append(len(calls) - 1)
+    calls.clear()
+    _pattern_search(xs0, prog)
+    assert len(calls) <= max(sweeps) + 1
+    assert sum(sweeps) > 4 * max(sweeps)
