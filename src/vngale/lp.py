@@ -1,7 +1,7 @@
 """Dense linear programming via a two-phase tableau simplex.
 
-Small deterministic solver used for cone membership, dual-cone membership
-and price-feasibility subproblems.  Pivoting is Dantzig's rule with the
+Small deterministic solver, called in the package only by the reference
+``dual_violation(method="lp")``.  Pivoting is Dantzig's rule with the
 numerically largest element among minimum-ratio rows; if the objective
 stalls long enough to suggest cycling, the solver switches to Bland's
 smallest-index rule, which terminates.  The tableau is refactorized from
@@ -192,6 +192,11 @@ def lp_solve(
     Raises
     ------
     LPInfeasibleError, LPUnboundedError, LPCyclingError
+
+    Fails on tree-dual programs that HiGHS solves: on
+    ``tests/test_tree_dual_oracle.py``'s least-dual frictionless-n3 it
+    hits the pivot guard (46,551 pivots), and on its min-slack currency-n3
+    the final-basis check fails (feasibility 1.4e-1).
     """
     c = np.atleast_1d(np.asarray(c, dtype=float))
     n = c.size

@@ -45,7 +45,8 @@ every running start go through one boundary-scale call per
 ``_SEARCH_CHUNK_ELEMENTS`` elements (tables x facet rows).  A table's
 value does not depend on the stack it sits in, so every start ends
 where it would alone, bit for bit.  Supporting state prices come from the
-tree's least-price recursion, run on the chain to its fixed point.
+tree's least-price recursion, run to its fixed point on each closed
+class of the chain, then on the transient states.
 """
 
 from __future__ import annotations
@@ -84,8 +85,7 @@ _WEALTH_FLOOR = 1e-300
 # barrier weight cut per path-following stage (long step: the weighted
 # barrier keeps every node near its central path)
 _MU_FACTOR = 0.01
-_PRICE_ITERATIONS = 64  # cap of the averaged stationary price iteration
-_PRICE_ROUNDS = 16  # cap of the policy-iteration rounds that follow
+_PRICE_ROUNDS = 16  # cap of the stationary price policy-iteration rounds
 # the stationary pattern search evaluates its trial tables in chunks of at
 # most this many elements (tables x the largest facet-row count), so wide
 # currency cones keep their per-table cost and memory at any start count
@@ -702,26 +702,25 @@ def extract_equilibrium_prices(strategy: BalancedStrategy,
     ``p(v)`` is ``T(p)(v) = max over u of max_i G_uv[i, :] d_i``, the
     tree dual's recursion on the chain.  ``T`` is monotone and
     homogeneous of degree one, and its eigenvector is the price (Gaubert
-    & Gunawardena, Trans. AMS 356, 2004).  The averaged map ``p <- (p +
-    T(p) / max T(p)) / 2``, which settles on periodic chains too, runs
-    until no entry moves by more than 1e-15, at most
-    ``_PRICE_ITERATIONS`` times.  Policy iteration then finishes slowly
-    mixing chains: ``T`` is the max of linear maps, one per choice of
-    ``(u, i)`` for each entry ``p(v)_j``, and a round solves the top
-    choices' map for its eigenvector (one inverse-iteration step, shifted
-    just above the spectral radius) until no other choice prices higher
-    there.  Of the two prices, each scaled so that the support products
-    centre on 1, the one violating the rows less is returned: on a
-    reducible chain ``T`` has several eigenvectors, and the averaged map
-    keeps one that is positive on every class.
+    & Gunawardena, Trans. AMS 356, 2004).  Each closed class (its states
+    reach back every state they reach) is priced alone and scaled so that
+    its own support products centre on 1, then the transient states with
+    the class prices fixed.  Policy iteration prices each: ``T`` is the
+    max of affine maps ``q = A q + b``, one per choice of ``(u, i)`` for
+    each entry ``p(v)_j``, and a round solves the top choices' map until
+    no other choice prices higher there.  It takes the least solution
+    where ``A`` has spectral radius below 1 on transient states, else one
+    inverse-iteration step toward ``A``'s eigenvector.
 
-    Returns ``(prices, residual)``, the largest row violation.  On an
-    irreducible chain ``T(p) = lambda p`` forces ``lambda >= 1``, with
-    equality and equal support products exactly when some price supports
-    the strategy, so the residual is numerically zero exactly when the
-    strategy is rapid in the stationary sense.  Under costly cones a
-    state's growth factor, the least over its predecessors, can leave
-    wealth unused, and no price supports that.
+    Returns ``(prices, residual)``, the largest row violation, with all
+    support products centred on 1.  On a closed class ``T(p) = lambda p``
+    forces ``lambda >= 1``, with equality and equal support products
+    exactly when some price supports the strategy there, so without
+    transient states the residual is numerically zero exactly when the
+    strategy is rapid in the stationary sense.  A transient predecessor's
+    support row can pin a class's scale apart from the class's own rows,
+    and under costly cones a state's growth factor, the least over its
+    predecessors, can leave wealth unused; no price supports either.
     """
     xs = np.stack([strategy.x[s] for s in spec.states])
     alpha = np.array([strategy.alpha[s] for s in spec.states])
@@ -738,41 +737,47 @@ def extract_equilibrium_prices(strategy: BalancedStrategy,
         O = G * (Q @ p)[None, :, :, None]
         return O.transpose(1, 3, 0, 2).reshape(k, n, k * n)
 
-    def scaled(p):
-        """``p`` with support products centred on 1, and the largest
-        violation of the support and dual-cone rows there."""
+    def scaled(p, rows):
+        """``p`` with the support products of the transitions ``rows``
+        centred on 1, and the largest violation of all rows there."""
         support = (p[dest] * xs[src]).sum(axis=1)
-        c = 2.0 / (support.min() + support.max())
+        c = 2.0 / (support[rows].min() + support[rows].max())
         return c * p, max(float(np.abs(c * support - 1.0).max()),
                           float(c * (offers(p).max(axis=-1) - p).max()))
 
-    p = np.ones((k, n))
-    for _ in range(_PRICE_ITERATIONS):
-        Tp = offers(p).max(axis=-1)
-        p, last = 0.5 * (p + Tp / Tp.max()), p
-        if np.abs(p - last).max() <= 1e-15:
-            break
+    R = np.linalg.matrix_power(np.eye(k, dtype=bool) | (spec.P > 0.0), k)
+    closed = (R <= R.T).all(axis=1)
 
-    # policy iteration from p; A is the linear piece of T at the choices
+    # policy iteration per block; A is the linear piece of T at the choices
     v, j = np.indices((k, n))
-    q = p
-    choice = offers(q).argmax(axis=-1)
-    for _ in range(_PRICE_ROUNDS):
-        u, i = np.divmod(choice, n)
-        A = np.zeros((k, n, k, n))
-        A[v, j, :, i] = G[u, v, i, j][..., None] * Q[:, None, :]
-        A = A.reshape(k * n, k * n)
-        shift = (1.0 + 1e-13) * np.linalg.eigvals(A).real.max()
-        q = np.linalg.solve(shift * np.eye(k * n) - A, q.ravel())
-        q = np.maximum(q / q[np.abs(q).argmax()], 0.0).reshape(k, n)
-        O = offers(q)
-        own = np.take_along_axis(O, choice[..., None], axis=-1)[..., 0]
-        beaten = O.max(axis=-1) > own + 1e-13 * own.max()
-        if not beaten.any():
-            break
-        choice = np.where(beaten, O.argmax(axis=-1), choice)
+    p = np.ones((k, n))
+    for c in sorted(set(np.where(closed, R.argmax(axis=1), k))):
+        block = R[c] if c < k else ~closed  # c < k: a class's first state
+        e, transient = np.repeat(block, n), c == k
+        choice = offers(p).argmax(axis=-1)
+        for _ in range(_PRICE_ROUNDS):
+            u, i = np.divmod(choice, n)
+            A = np.zeros((k, n, k, n))
+            A[v, j, :, i] = G[u, v, i, j][..., None] * Q[:, None, :]
+            A = A.reshape(k * n, k * n)[e]
+            B, b = A[:, e], A[:, ~e] @ p.ravel()[~e]
+            I, rho = np.eye(len(B)), np.linalg.eigvals(B).real.max()
+            if transient and rho < 1.0:  # least solution of q = B q + b
+                q = np.linalg.solve(I - B, b)
+            else:  # one inverse-iteration step toward B's eigenvector
+                q = np.linalg.solve((1.0 + 1e-13) * rho * I - B, p.ravel()[e])
+                q = q / q[np.abs(q).argmax()]
+            p[block] = np.maximum(q, 0.0).reshape(-1, n)
+            O = offers(p)
+            own = np.take_along_axis(O, choice[..., None], axis=-1)[..., 0]
+            beaten = block[:, None] & (O.max(-1) > own + 1e-13 * own.max())
+            if not beaten.any():
+                break
+            choice = np.where(beaten, O.argmax(axis=-1), choice)
+        if not transient:
+            p[block] = scaled(p, block[src])[0][block]
 
-    p, residual = min(scaled(p), scaled(q), key=lambda c: c[1])
+    p, residual = scaled(p, slice(None))
     return {spec.states[s]: p[s] for s in range(k)}, residual
 
 

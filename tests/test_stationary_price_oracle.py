@@ -16,6 +16,8 @@ HiGHS's absolute feasibility tolerance (1e-10 at its tightest) lies
 below the slacks measured here.
 """
 
+from itertools import product
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -36,6 +38,16 @@ REGIME3 = MarkovSpec(["L", "M", "H"], [[0.8, 0.15, 0.05],
 SKEW3 = MarkovSpec(["A", "B", "C"], [[0.98, 0.01, 0.01]] * 3)
 CYCLE = MarkovSpec(["U", "D"], [[0.0, 1.0], [1.0, 0.0]])
 REDUCIBLE = MarkovSpec(["U", "D"], [[0.5, 0.5], [0.0, 1.0]])
+# each state its own closed class
+SPLIT = MarkovSpec(["A", "B"], [[1.0, 0.0], [0.0, 1.0]])
+# two closed classes: {U} and {D, A}
+TWO_CLASSES = MarkovSpec(["U", "D", "A"], [[1.0, 0.0, 0.0],
+                                           [0.0, 0.5, 0.5],
+                                           [0.0, 0.5, 0.5]])
+# transient U and D feed the absorbing A
+FEEDERS = MarkovSpec(["U", "D", "A"], [[0.0, 0.5, 0.5],
+                                       [0.0, 0.0, 1.0],
+                                       [0.0, 0.0, 1.0]])
 ONE = MarkovSpec(["S"], [[1.0]])
 RETURNS = {"U": [1.0, 2.0, 0.7, 1.3], "D": [1.0, 0.5, 1.4, 0.8],
            "A": [1.0, 1.1, 0.95], "B": [1.0, 0.6, 1.3],
@@ -124,34 +136,53 @@ def kelly():
                             alpha={"U": 1.5, "D": 0.75})
 
 
+def held_in_place(x, spec, table):
+    """The strategy holding ``x[s]`` in state ``s`` at its largest growth
+    factors."""
+    alpha = {v: min(boundary_scale(table.resolve(u, v), x[u], x[v])
+                    for i, u in enumerate(spec.states)
+                    if spec.P[i, j] > 0.0)
+             for j, v in enumerate(spec.states)}
+    return BalancedStrategy(x=x, alpha=alpha)
+
+
 def corner():
     """Hold asset 0 after a move into U, asset 1 after a move into D, on
     the pair chain of the coin's currency table: exactly supported."""
     spec, table = pair_chain(COIN, currency())
     x = {s: np.array([1.0, 0.0]) if s.endswith("U") else np.array([0.0, 1.0])
          for s in spec.states}
-    alpha = {v: min(boundary_scale(table.resolve(u, v), x[u], x[v])
-                    for i, u in enumerate(spec.states)
-                    if spec.P[i, j] > 0.0)
-             for j, v in enumerate(spec.states)}
-    return BalancedStrategy(x=x, alpha=alpha), spec, table
+    return held_in_place(x, spec, table), spec, table
 
 
 def held_currency():
     """Hold currency 1 in every state of the persistent regime chain:
     balanced (every growth factor is 1) and exactly supported.  The
-    price map mixes slowly: 64 averaged steps alone leave a residual of
-    5.6e-3, so this case needs the policy rounds."""
+    price map mixes slowly: 64 steps of the averaged map ``p <- (p +
+    T(p) / max T(p)) / 2`` leave a residual of 5.6e-3, so this case needs
+    policy rounds that solve each linear piece exactly."""
     table = ConeTable({
         "*->L": ConeSpec.currency([[1.0, 1.13], [0.84, 1.0]]),
         "*->M": ConeSpec.currency([[1.0, 0.67], [0.86, 1.0]]),
         "*->H": ConeSpec.currency([[1.0, 0.62], [0.87, 1.0]]),
     })
     x = {s: np.array([0.0, 1.0]) for s in REGIME3.states}
-    alpha = {v: min(boundary_scale(table.resolve(u, v), x[u], x[v])
-                    for u in REGIME3.states)
-             for v in REGIME3.states}
-    return BalancedStrategy(x=x, alpha=alpha), REGIME3, table
+    return held_in_place(x, REGIME3, table), REGIME3, table
+
+
+def two_currency(rates):
+    """Currency cones of ``SPLIT``, ``rates[s]`` the off-diagonal rates
+    into state ``s``."""
+    return ConeTable({f"*->{s}": ConeSpec.currency([[1.0, a], [b, 1.0]])
+                      for s, (a, b) in rates.items()})
+
+
+def two_classes_held():
+    """Hold (1/2, 1/2) in both states of ``SPLIT``: growth factors 1 and
+    exactly supported, each state at its own price scale."""
+    table = two_currency({"A": (1.135, 0.829), "B": (1.035, 0.909)})
+    half = np.array([0.5, 0.5])
+    return held_in_place({"A": half, "B": half}, SPLIT, table), SPLIT, table
 
 
 def solved(spec, table, starts=4):
@@ -190,8 +221,17 @@ CASES = [
     ("kelly", lambda: (kelly(), COIN, frictionless(COIN))),
     ("pair-corner", corner),
     ("cur-regime3-held", held_currency),
+    ("cur-two-classes", two_classes_held),
+    ("fl-two-classes", lambda: (
+        solved(TWO_CLASSES, frictionless(TWO_CLASSES)), TWO_CLASSES,
+        frictionless(TWO_CLASSES))),
+    ("tc-two-classes", lambda: (solved(TWO_CLASSES, costly(TWO_CLASSES)),
+                                TWO_CLASSES, costly(TWO_CLASSES))),
+    ("fl-feeders", lambda: (solved(FEEDERS, frictionless(FEEDERS)), FEEDERS,
+                            frictionless(FEEDERS))),
 ]
-EXACT = ("kelly", "pair-corner", "cur-regime3-held")
+EXACT = ("kelly", "pair-corner", "cur-regime3-held", "cur-two-classes",
+         "fl-feeders")
 REJECTED = ("timid",)
 
 
@@ -241,3 +281,28 @@ def test_no_linear_program_runs(monkeypatch):
     table = frictionless(REGIME3, 3)
     result = solve_stationary_equilibrium(REGIME3, table, starts=2)
     assert np.isfinite(result.certificate_residual)
+
+
+def test_closed_classes_are_priced_apart():
+    """On ``SPLIT`` each state is its own closed class with its own price
+    scale.  Random currency rates (no arbitrage: the round trip loses
+    2-20%), every corner or half-half holding per state: wherever the
+    program finds support, so do the prices."""
+    rng = np.random.default_rng(0)
+    holdings = [np.array([1.0, 0.0]), np.array([0.0, 1.0]),
+                np.array([0.5, 0.5])]
+    supported = 0
+    for _ in range(60):
+        rates = {}
+        for s in SPLIT.states:
+            a = rng.uniform(0.8, 1.25)
+            rates[s] = (a, rng.uniform(0.8, 0.98) / a)
+        table = two_currency(rates)
+        for xa, xb in product(holdings, repeat=2):
+            strategy = held_in_place({"A": xa, "B": xb}, SPLIT, table)
+            if lp_optimum(*price_rows(strategy, SPLIT, table)) <= 1e-7:
+                supported += 1
+                _, residual = extract_equilibrium_prices(strategy, SPLIT,
+                                                         table)
+                assert residual <= 1e-7
+    assert supported >= 500
