@@ -18,7 +18,14 @@ nodes.  Each Newton system is assembled with one matrix product per
 group of edges sharing a cone, and eliminated leaf-to-root over the
 breadth-first node ids: a depth is one id slice, each node's block
 couples only its parent, and what a node receives from its children is
-one sum over their consecutive ids.
+one sum over their consecutive ids.  A depth's n x n blocks are solved
+by one LAPACK call each while the depth is narrow.  From
+``_BATCH_LAST_WIDTH`` nodes on (8-256 by n, up to n = 12), the depth
+is laid out batch-last, ``(n, 2n + 1, nodes)``, and reduced by
+Gauss-Jordan elimination, each row operation one vector operation over
+all its nodes.  The blocks are SPD after a relative ridge, so no
+pivoting is needed, and a pivot that is not finite and positive raises
+:class:`SolverError`.
 Steps are linear-time in the node count.  Barrier iterates are strictly
 feasible, so the returned plan is exactly self-financing.
 
@@ -85,11 +92,20 @@ _WEALTH_FLOOR = 1e-300
 # barrier weight cut per path-following stage (long step: the weighted
 # barrier keeps every node near its central path)
 _MU_FACTOR = 0.01
+# smallest last barrier weight: the rows' slacks end near it, and below a
+# few rounding units they round to zero (see solve_tree_log_optimal)
+_MU_FINAL_FLOOR = 1e-15
 _PRICE_ROUNDS = 16  # cap of the stationary price policy-iteration rounds
 # the stationary pattern search evaluates its trial tables in chunks of at
 # most this many elements (tables x the largest facet-row count), so wide
 # currency cones keep their per-table cost and memory at any start count
 _SEARCH_CHUNK_ELEMENTS = 1 << 14
+# W by block size n: a tree depth of at least W nodes is solved in one
+# batch-last pass, a narrower one (and any depth for a larger n) by one
+# LAPACK call per n x n block.  Set at the measured crossover of the two
+# (2-core x86_64, numpy 2.4, one BLAS thread; see CHANGES.md)
+_BATCH_LAST_WIDTH = {1: 8, 2: 24, 3: 40, 4: 64, 5: 64, 6: 80, 7: 96,
+                     8: 192, 9: 192, 10: 256, 11: 256, 12: 256}
 
 
 class SolverError(RuntimeError):
@@ -370,6 +386,16 @@ class _TreeProgram:
         id slice ``depth_start[d]:depth_start[d+1]``; the Schur
         complement of each child goes to its parent in the depth
         ``d-1`` slice as one sum over consecutive child ranges.
+
+        A depth's block solves ``[H^-1 g | H^-1 CP]`` are the only
+        branch.  A depth of at least W nodes (``_BATCH_LAST_WIDTH``, by
+        block size n) is eliminated in one batch-last pass
+        (:func:`_solve_batch_last`), each row operation one vector
+        operation over all its nodes.  A narrower depth makes one LAPACK
+        call per block, which costs less there than the pass's fixed
+        numpy overhead.  The ridged blocks are SPD, so the pass needs no
+        pivoting.  Both results go through the same node-major Schur
+        complements and back-substitution.
         """
         tree = self.tree
         N, n = G.shape
@@ -381,18 +407,21 @@ class _TreeProgram:
         # probability, which floors the scale
         diag_max = np.maximum(H[1:, idx, idx].max(axis=1), tree.abs_prob[1:])
         H[1:, idx, idx] += 1e-14 * diag_max[:, None]
-        g0 = G.copy()
 
         # per node: [H^-1 g | H^-1 CP], the step given the parent's
         sol = np.zeros((N, n, n + 1))
+        wide = _BATCH_LAST_WIDTH.get(n, np.inf)
         for d in range(tree.horizon, 0, -1):
             vs = slice(ds[d], ds[d + 1])
-            try:
-                sol[vs] = np.linalg.solve(
-                    H[vs], np.concatenate([G[vs, :, None], CP[vs]], axis=2))
-            except np.linalg.LinAlgError:
-                raise SolverError("singular Newton system at depth "
-                                  f"{d}") from None
+            if ds[d + 1] - ds[d] >= wide:
+                sol[vs] = _solve_batch_last(H[vs], G[vs], CP[vs], d)
+            else:
+                try:
+                    sol[vs] = np.linalg.solve(H[vs], np.concatenate(
+                        [G[vs, :, None], CP[vs]], axis=2))
+                except np.linalg.LinAlgError:
+                    raise SolverError("singular Newton system at depth "
+                                      f"{d}") from None
             if d > 1:
                 ps = slice(ds[d - 1], ds[d])
                 schur = np.add.reduceat(
@@ -406,8 +435,38 @@ class _TreeProgram:
             vs = slice(ds[d], ds[d + 1])
             delta[vs] = -(sol[vs, :, 0] + (
                 sol[vs, :, 1:] @ delta[tree.parent[vs], :, None])[:, :, 0])
-        decrement = -float(np.einsum("vi,vi->", g0[1:], delta[1:]))
+        # g^T H^-1 g, summed over the blocks as they were eliminated
+        decrement = float(np.einsum("vi,vi->", G[1:], sol[1:, :, 0]))
         return delta, decrement
+
+
+def _solve_batch_last(H, G, CP, depth):
+    """``[H^-1 g | H^-1 CP]`` of ``k`` SPD blocks ``H`` ``(k, n, n)``, with
+    ``G`` ``(k, n)`` and ``CP`` ``(k, n, n)``, as ``(k, n, n + 1)``.
+
+    ``[H | g | CP]`` is laid out batch-last, ``(n, 2n + 1, k)``, and
+    reduced by Gauss-Jordan elimination without pivoting: column ``c``
+    scales row ``c`` and subtracts it from the other rows, each row one
+    vector operation over all k blocks, so the scratch beside the array
+    is one row.  The blocks are SPD, so every pivot (an entry of ``D``
+    in ``H = L D L^T``) is positive; one that is not finite and
+    positive raises :class:`SolverError` naming ``depth``.
+    """
+    k, n = G.shape
+    A = np.empty((n, 2 * n + 1, k))
+    A[:, :n] = H.transpose(1, 2, 0)
+    A[:, n] = G.T
+    A[:, n + 1:] = CP.transpose(1, 2, 0)
+    for c in range(n):
+        pivot = A[c, c]
+        if not (pivot.min() > 0.0 and pivot.max() < np.inf):
+            raise SolverError(f"singular Newton system at depth {depth}")
+        row = A[c, c + 1:]
+        row /= pivot
+        for r in range(n):
+            if r != c:
+                A[r, c + 1:] -= A[r, c] * row
+    return A[:, n:].transpose(2, 0, 1)
 
 
 def _require_assumptions(cone_table) -> None:
@@ -445,8 +504,18 @@ def solve_tree_log_optimal(tree: ScenarioTree, cone_table, x0,
     mu'/mu) H^-1 (mu grad barrier)``, cut to 0.99 of the way to the
     boundary; it counts in ``iterations``.
 
+    ``mu_final`` must be finite and at least ``_MU_FINAL_FLOOR`` (1e-15,
+    about 4.5 units of double rounding), else :class:`ValueError` is
+    raised before any work.  Near the end every barrier row's slack is
+    about ``mu_final`` times its node's scale; below a few rounding units
+    the residual rows round to zero and the barrier is undefined (on a
+    2-asset coin tree 5e-16 still solves and 3e-16 divides by zero).
+
     Deterministic: no randomness anywhere in the solve.
     """
+    if not _MU_FINAL_FLOOR <= mu_final < np.inf:
+        raise ValueError(f"mu_final must be finite and at least "
+                         f"{_MU_FINAL_FLOOR:g}, got {mu_final!r}")
     if objective not in ("wealth", "liquidation"):
         raise ValueError(f"unknown objective: {objective!r}")
     n = cone_table.n

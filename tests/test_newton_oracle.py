@@ -7,19 +7,24 @@ depth slice at a time.  Here the same Newton system is written out
 densely, one edge at a time from ``_edge_matrices``, and solved whole.
 The set-up that feeds the step (the tree layout, the edge groups and
 the interior start) is checked against the per-node loops it replaced,
-kept here as the reference.
+kept here as the reference.  Depths of at least ``_BATCH_LAST_WIDTH``
+nodes are solved by the batch-last Gauss-Jordan kernel, which is also
+checked on its own against ``np.linalg.solve``.
 """
 
 import numpy as np
 import pytest
 
+from vngale import solver
 from vngale.cones import ConeSpec, ConeTable, boundary_scale, wealth_weights
 from vngale.scenario import MarkovSpec, build_tree
 from vngale.solver import (
+    _BATCH_LAST_WIDTH,
     SolverError,
     _edge_groups,
     _edge_matrices,
     _interior_start,
+    _solve_batch_last,
     _TreeProgram,
 )
 
@@ -74,7 +79,7 @@ def pruned_table():
     })
 
 
-# (name, tree, table); every tree has 7-40 nodes
+# (name, tree, table); every tree has 7-143 nodes
 CASES = [
     ("frictionless", build_tree(COIN, 3), frictionless()),
     ("proportional_tc", build_tree(COIN, 3), costly()),
@@ -86,8 +91,13 @@ CASES = [
     ("pruned", build_tree(PRUNED, 4), pruned_table()),
     ("pruned-pinned", build_tree(PRUNED, 3, root_state="B"),
      pruned_table()),
+    # depths of at least _BATCH_LAST_WIDTH[n] nodes: the batch-last kernel
+    ("frictionless-wide", build_tree(COIN, 6), frictionless()),
+    ("proportional_tc-wide", build_tree(COIN, 6), costly()),
+    ("pruned-wide", build_tree(PRUNED, 6), pruned_table()),
 ]
 IDS = [c[0] for c in CASES]
+WIDE = [c for c in CASES if c[0].endswith("-wide")]
 
 
 def x0_for(table):
@@ -267,3 +277,60 @@ def test_newton_direction_matches_dense_solve(name, tree, table, objective):
             assert np.abs(dY[1:] - ref).max() <= 1e-9 * scale
             assert dec == pytest.approx(ref_dec, rel=1e-9)
             Y = Y_next
+
+
+# ---------------------------------------------------------------------------
+# the batch-last kernel against LAPACK
+
+
+def _spd_stack(rng, k, n):
+    M = rng.standard_normal((k, n, n))
+    H = M @ M.transpose(0, 2, 1) + 0.5 * np.eye(n)
+    return H, rng.standard_normal((k, n)), rng.standard_normal((k, n, n))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_batch_last_kernel_matches_lapack(n):
+    rng = np.random.default_rng(n)
+    w = _BATCH_LAST_WIDTH[n]
+    for k in (1, w - 1, w, 2 * w + 3):
+        H, G, CP = _spd_stack(rng, k, n)
+        ref = np.linalg.solve(H, np.concatenate([G[:, :, None], CP], axis=2))
+        got = _solve_batch_last(H.copy(), G.copy(), CP.copy(), 4)
+        assert got.shape == (k, n, n + 1)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("bad", ["zero-first", "zero-later", "nan"])
+def test_batch_last_kernel_names_the_singular_depth(bad):
+    rng = np.random.default_rng(7)
+    H, G, CP = _spd_stack(rng, 40, 3)
+    if bad == "zero-first":
+        H[17, 0, :] = H[17, :, 0] = 0.0
+    elif bad == "zero-later":  # rows 0 and 1 equal: the second pivot is 0
+        H[17] = [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    else:
+        H[17, 1, 1] = np.nan
+    with pytest.raises(SolverError, match="singular Newton system at depth "
+                                          "5$"):
+        _solve_batch_last(H, G, CP, 5)
+
+
+@pytest.mark.parametrize("name, tree, table", WIDE,
+                         ids=[c[0] for c in WIDE])
+def test_kernel_solves_the_wide_depths_only(name, tree, table, monkeypatch):
+    widths = []
+
+    def record(H, G, CP, depth):
+        widths.append((depth, len(G)))
+        return _solve_batch_last(H, G, CP, depth)
+
+    monkeypatch.setattr(solver, "_solve_batch_last", record)
+    x0 = x0_for(table)
+    prog = _TreeProgram(tree, table, x0, "wealth")
+    prog.newton_step(_interior_start(tree, prog.groups, x0), 1.0)
+    sizes = np.diff(tree.depth_start)
+    wide = sizes >= _BATCH_LAST_WIDTH[table.n]
+    assert widths == [(d, sizes[d]) for d in range(tree.horizon, 0, -1)
+                      if wide[d]]
+    assert wide[1:].any() and not wide[1:].all()  # both branches run

@@ -18,6 +18,7 @@ import time
 import numpy as np
 import pytest
 
+from vngale import solver
 from vngale.certify import check_rapid
 from vngale.cones import ConeSpec, ConeTable
 from vngale.scenario import MarkovSpec, build_tree
@@ -181,3 +182,32 @@ def test_barrier_stages_end_exactly_at_mu_final(monkeypatch):
     assert weights == pytest.approx([10.0 ** -e for e in range(0, 13, 2)],
                                     rel=1e-12)
     assert weights[-1] == 1e-12
+
+
+# 0 and 1e-16 used to divide by zero and end in "line search failed";
+# inf used to return a one-stage plan with kkt_residual 0.56
+@pytest.mark.parametrize("mu_final", [0.0, -1.0, np.nan, np.inf, -np.inf,
+                                      1e-16, 9e-16])
+def test_unsolvable_mu_final_raises_before_any_work(mu_final, monkeypatch):
+    def started(*args):
+        raise AssertionError("the solve started")
+
+    monkeypatch.setattr(_TreeProgram, "__init__", started)
+    monkeypatch.setattr(solver, "_require_assumptions", started)
+    table = MORE[0][1]
+    with pytest.raises(ValueError, match="mu_final must be finite and at "
+                                         "least 1e-15"):
+        solve_tree_log_optimal(build_tree(COIN, 2), table, [0.5, 0.5],
+                               mu_final=mu_final)
+
+
+@pytest.mark.parametrize("name, table", LARGE + MORE,
+                         ids=[c[0] for c in LARGE + MORE])
+def test_mu_final_at_the_floor_solves(name, table):
+    res = solve_tree_log_optimal(build_tree(COIN, 6), table,
+                                 np.full(table.n, 1 / table.n),
+                                 mu_final=solver._MU_FINAL_FLOOR)
+    ref = solve_tree_log_optimal(build_tree(COIN, 6), table,
+                                 np.full(table.n, 1 / table.n))
+    assert res.kkt_residual <= max(1e-10, ref.kkt_residual)
+    assert res.objective == pytest.approx(ref.objective, abs=1e-10)
