@@ -21,6 +21,7 @@ environment variable VNG_THREADS caps the linear-algebra thread pools.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -342,6 +343,9 @@ def cmd_simulate(args) -> int:
 # argument parsing
 
 
+# built once per process: parsing leaves the parser unchanged, and
+# in-process callers run main many times
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vng",

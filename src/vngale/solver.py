@@ -13,19 +13,20 @@ central path as the root.  That lets the path-following cut ``mu`` by a
 factor of 100 per stage (``_MU_FACTOR``), a long-step schedule.  The
 interior start gives each node the analytic-centre share of its wealth
 budget, and every cut opens with one step along the central-path
-tangent, so a solve takes 30-60 Newton steps on trees of up to 8191
-nodes.  Each Newton system is assembled with one matrix product per
-group of edges sharing a cone, and eliminated leaf-to-root over the
-breadth-first node ids: a depth is one id slice, each node's block
-couples only its parent, and what a node receives from its children is
-one sum over their consecutive ids.  A depth's n x n blocks are solved
-by one LAPACK call each while the depth is narrow.  From
-``_BATCH_LAST_WIDTH`` nodes on (8-256 by n, up to n = 12), the depth
-is laid out batch-last, ``(n, 2n + 1, nodes)``, and reduced by
-Gauss-Jordan elimination, each row operation one vector operation over
-all its nodes.  The blocks are SPD after a relative ridge, so no
-pivoting is needed, and a pivot that is not finite and positive raises
-:class:`SolverError`.
+tangent.  Only the last stage's iterate is returned, so the stages
+before it are centred loosely (``_MID_STAGE_DECREMENT``), and a solve
+takes 20-45 Newton steps on trees of up to 8191 nodes.  Each Newton
+system is assembled with one matrix product per group of edges sharing a
+cone, and eliminated leaf-to-root over the breadth-first node ids: a
+depth is one id slice, each node's block couples only its parent, and
+what a node receives from its children is one sum over their consecutive
+ids.  A depth's n x n blocks are solved by one LAPACK call each while
+the depth is narrow.  From ``_BATCH_LAST_WIDTH`` nodes on (8-256 by n,
+up to n = 12), the depth is laid out batch-last, ``(n, 2n + 1, nodes)``,
+and reduced by Gauss-Jordan elimination, each row operation one vector
+operation over all its nodes.  The blocks are SPD after a relative
+ridge, so no pivoting is needed, and a pivot that is not finite and
+positive raises :class:`SolverError`.
 Steps are linear-time in the node count.  Barrier iterates are strictly
 feasible, so the returned plan is exactly self-financing.
 
@@ -92,6 +93,11 @@ _WEALTH_FLOOR = 1e-300
 # barrier weight cut per path-following stage (long step: the weighted
 # barrier keeps every node near its central path)
 _MU_FACTOR = 0.01
+# an intermediate stage (mu above mu_final) ends once half the squared
+# Newton decrement is at most this fraction of mu (lambda^2 / mu <= 0.6):
+# only the last stage's iterate is returned, so the earlier ones need
+# only be near enough their central path for the next predictor step
+_MID_STAGE_DECREMENT = 0.3
 # smallest last barrier weight: the rows' slacks end near it, and below a
 # few rounding units they round to zero (see solve_tree_log_optimal)
 _MU_FINAL_FLOOR = 1e-15
@@ -498,11 +504,15 @@ def solve_tree_log_optimal(tree: ScenarioTree, cone_table, x0,
     edge's boundary scale, ``k = (H - d + 1) (n + 1)`` at depth ``d``.
     Each stage takes damped Newton steps (Armijo backtracking from 0.99
     of the way to the boundary, or the full step when nothing blocks
-    it) until half the squared Newton decrement is at most
-    ``max(1e-13, 1e-3 * mu)``.  Each cut from ``mu`` to ``mu'`` first
-    takes one predictor step along the central-path tangent, ``(1 -
-    mu'/mu) H^-1 (mu grad barrier)``, cut to 0.99 of the way to the
-    boundary; it counts in ``iterations``.
+    it), at most 40, until half the squared Newton decrement is small:
+    at most ``_MID_STAGE_DECREMENT * mu`` (0.3 mu, a barrier-scaled
+    decrement ``lambda^2 / mu <= 0.6``) in a stage above ``mu_final``,
+    and at most ``max(1e-13, 1e-3 * mu_final)`` in the last stage.
+    Only the last iterate is returned, and the next stage's predictor
+    tolerates a loosely centred start.  Each cut from ``mu`` to ``mu'``
+    first takes one predictor step along the central-path tangent,
+    ``(1 - mu'/mu) H^-1 (mu grad barrier)``, cut to 0.99 of the way to
+    the boundary; it counts in ``iterations``.
 
     ``mu_final`` must be finite and at least ``_MU_FINAL_FLOOR`` (1e-15,
     about 4.5 units of double rounding), else :class:`ValueError` is
@@ -532,7 +542,8 @@ def solve_tree_log_optimal(tree: ScenarioTree, cone_table, x0,
     iterations = 0
     mu = 1.0
     while True:
-        stage_tol = max(1e-13, 1e-3 * mu)
+        stage_tol = (_MID_STAGE_DECREMENT * mu if mu > mu_final
+                     else max(1e-13, 1e-3 * mu))
         for _ in range(40):
             X, dec = prog.newton_step(X, mu)
             iterations += 1

@@ -3,8 +3,9 @@
 Random small models go through ``solve_tree_log_optimal`` and
 ``check_rapid`` at the default tolerances (support and dual cone 1e-6,
 defect 1e-8): every plan returned with its dual certifies.  The models
-have 1-3 states and 2-3 assets, cones of every family, horizons 1-3,
-and dense, sparse, skewed or sticky chains.
+have 1-3 states and 2-3 assets, cones of every family, and dense,
+sparse, skewed or sticky chains; horizons are 1-3 for terminal wealth
+and 1-4 for liquidation value.
 """
 
 import numpy as np
@@ -46,12 +47,12 @@ def _cone(family, n, rng):
 
 
 @st.composite
-def models(draw):
+def models(draw, max_horizon=3):
     k, n = draw(st.integers(1, 3)), draw(st.integers(2, 3))
     family = draw(st.sampled_from(["frictionless", "proportional_tc",
                                    "currency"]))
     kind = draw(st.sampled_from(["dense", "sparse", "skewed", "sticky"]))
-    horizon = draw(st.integers(1, 3))
+    horizon = draw(st.integers(1, max_horizon))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     states = ["S0", "S1", "S2"][:k]
     spec = MarkovSpec(states, _chain(kind, k, rng))
@@ -65,6 +66,18 @@ def test_every_solved_plan_certifies(model):
     spec, table, horizon = model
     tree = build_tree(spec, horizon)
     res = solve_tree_log_optimal(tree, table, np.full(table.n, 1.0 / table.n))
+    report = check_rapid(res.plan, res.dual, table)
+    assert report.passed, (report.verdict, report.node_support,
+                           report.node_dual_cone, report.node_defect)
+
+
+@SETTINGS
+@given(models(max_horizon=4))
+def test_every_solved_liquidation_plan_certifies(model):
+    spec, table, horizon = model
+    tree = build_tree(spec, horizon)
+    res = solve_tree_log_optimal(tree, table, np.full(table.n, 1.0 / table.n),
+                                 objective="liquidation")
     report = check_rapid(res.plan, res.dual, table)
     assert report.passed, (report.verdict, report.node_support,
                            report.node_dual_cone, report.node_defect)

@@ -184,6 +184,71 @@ def test_barrier_stages_end_exactly_at_mu_final(monkeypatch):
     assert weights[-1] == 1e-12
 
 
+def _kelly(probs, R):
+    """max over the simplex of sum_w p_w log(R_w . f): Cover's
+    multiplicative update finds the support, then Newton steps on the
+    support with the budget constraint polish the optimum."""
+    f = np.full(R.shape[1], 1.0 / R.shape[1])
+    for _ in range(20000):
+        nxt = f * ((probs / (R @ f)) @ R)
+        nxt /= nxt.sum()
+        done = np.abs(nxt - f).max() < 1e-14
+        f = nxt
+        if done:
+            break
+    S = f > 1e-9
+    m = int(S.sum())
+    for _ in range(30):
+        W = R[:, S]
+        val = W @ f[S]
+        kkt = np.ones((m + 1, m + 1))
+        kkt[:m, :m] = -(W.T * (probs / val ** 2)) @ W
+        kkt[m, m] = 0.0
+        step = np.linalg.solve(kkt, np.append(-(probs / val) @ W, 0.0))[:m]
+        if (f[S] + step < 0).any():
+            break
+        f[S] += step
+        if np.abs(step).max() < 1e-15:
+            break
+    return float(probs @ np.log(R @ f))
+
+
+def test_intermediate_stages_stop_at_the_barrier_scaled_decrement(
+        monkeypatch):
+    # a stage above mu_final ends at its first step with dec/2 <= 0.3 mu;
+    # only the last stage is centred to 1e-13
+    steps = []
+    step = _TreeProgram.newton_step
+
+    def record(self, Y, mu):
+        Y, dec = step(self, Y, mu)
+        steps.append((mu, dec / 2.0))
+        return Y, dec
+
+    monkeypatch.setattr(_TreeProgram, "newton_step", record)
+    table = LARGE[0][1]
+    x0 = np.full(table.n, 1 / table.n)
+    horizon = 6
+    res = solve_tree_log_optimal(build_tree(COIN, horizon), table, x0)
+    stages = {}
+    for mu, half in steps:
+        stages.setdefault(mu, []).append(half)
+    *middle, last = stages.items()
+    assert len(middle) == 6
+    for mu, halves in middle:
+        assert halves[-1] <= 0.3 * mu
+        assert all(h > 0.3 * mu for h in halves[:-1])
+    assert last[0] == 1e-12
+    assert last[1][-1] <= 1e-13
+    # frictionless and i.i.d.: the optimum separates by node, the root
+    # holding x0 and every later non-leaf node earning the Kelly growth
+    R = np.array([[1.0, 2.0, 0.7], [1.0, 0.5, 1.4]])
+    p = np.array([0.5, 0.5])
+    ref = p @ np.log(R @ x0) + (horizon - 1) * _kelly(p, R)
+    assert res.objective == pytest.approx(ref, abs=1e-9)
+    assert res.kkt_residual <= 1e-9
+
+
 # 0 and 1e-16 used to divide by zero and end in "line search failed";
 # inf used to return a one-stage plan with kkt_residual 0.56
 @pytest.mark.parametrize("mu_final", [0.0, -1.0, np.nan, np.inf, -np.inf,
