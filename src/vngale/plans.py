@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import _group_edges, _membership_residual
-from .scenario import ScenarioTree
+from .scenario import ScenarioTree, _child_sums, _fanout
 
 __all__ = [
     "ContingentPlan",
@@ -161,28 +161,31 @@ class DualPlan:
         terminal expectation.
         """
         tree = self.tree
-        if tree.depth[v] >= tree.horizon:
-            return self.terminal[v - tree.depth_start[tree.horizon]]
+        d, ds = tree.depth[v], tree.depth_start
+        if d >= tree.horizon:
+            return self.terminal[v - ds[tree.horizon]]
         kids = tree.children(v)
-        # summed as the tree solver's dual recursion sums a child range,
-        # so the dual-cone rows of its least prices hold exactly here
-        return np.add.reduceat(tree.cond_prob[kids, None] * self.prices[kids],
-                               [0])[0]
+        # summed as the tree solver's dual recursion sums v's depth, so
+        # the dual-cone rows of its least prices hold exactly here
+        return _child_sums(tree.cond_prob[kids, None] * self.prices[kids],
+                           _fanout(tree, ds[d], ds[d + 1]), [0])[0]
 
     def expected_next_rows(self) -> np.ndarray:
         """:meth:`expected_next` of every node, one row per node id.
 
-        One sum over the consecutive child ranges of all non-leaf nodes
+        One sum over the consecutive child ranges of each depth's nodes
         (the same sums, so the rows equal the per-node values exactly),
         then the terminal layer at the leaves.
         """
         tree = self.tree
-        inner = tree.depth_start[tree.horizon]
+        ds = tree.depth_start
+        S = tree.cond_prob[:, None] * self.prices
         out = np.empty_like(self.prices)
-        out[:inner] = np.add.reduceat(
-            tree.cond_prob[1:, None] * self.prices[1:],
-            tree.first_child[:inner] - 1)
-        out[inner:] = self.terminal
+        for d in range(tree.horizon):
+            lo, hi = ds[d], ds[d + 1]
+            out[lo:hi] = _child_sums(S[hi:ds[d + 2]], _fanout(tree, lo, hi),
+                                     tree.first_child[lo:hi] - hi)
+        out[ds[tree.horizon]:] = self.terminal
         return out
 
     def to_dict(self) -> dict:

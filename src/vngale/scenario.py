@@ -251,7 +251,8 @@ def build_tree(spec: MarkovSpec, horizon: int,
 
     # parent[1:] is nondecreasing (BFS), so a node's first child is its
     # first occurrence there.  Rows of P and pi0 sum to one, so every
-    # node above the horizon has a child (the solver's reduceat needs it)
+    # node above the horizon has a child: no child range that
+    # _child_sums adds up is empty
     kids = parent[1:]
     first = np.flatnonzero(np.diff(kids, prepend=-1))  # parent changes
     first_child = np.full(n, n, dtype=int)
@@ -266,6 +267,36 @@ def build_tree(spec: MarkovSpec, horizon: int,
                         state=state, cond_prob=cond, abs_prob=absp,
                         first_child=first_child, n_children=n_children,
                         depth_start=_readonly(depth_start, dtype=int))
+
+
+def _fanout(tree: ScenarioTree, lo: int, hi: int) -> int:
+    """The child count shared by every node ``lo .. hi - 1``, or 0 when
+    their counts differ."""
+    counts = tree.n_children[lo:hi]
+    return int(counts[0]) if (counts == counts[0]).all() else 0
+
+
+def _child_sums(S: np.ndarray, fanout: int, starts) -> np.ndarray:
+    """Per-parent sums of consecutive child rows, one row per parent.
+
+    ``S`` holds the children's rows in id order.  With ``fanout`` c > 0
+    (every parent has c children, :func:`_fanout`) a sum adds the slots
+    of the ``(parents, c, ...)`` reshape view of ``S`` one by one, in
+    child order.  With 0 it is one ``np.add.reduceat`` at ``starts``, the
+    offsets of the child ranges in ``S``.  The two agree bit for bit up
+    to two children; over three or more reduceat adds in another order,
+    so sums that must match exactly (the tree dual's and a dual plan's
+    expectations) take the branch of the same depth.
+    """
+    if not fanout:
+        return np.add.reduceat(S, starts)
+    V = S.reshape(-1, fanout, *S.shape[1:])
+    if fanout == 1:
+        return V[:, 0].copy()
+    out = V[:, 0] + V[:, 1]
+    for j in range(2, fanout):
+        out += V[:, j]
+    return out
 
 
 def conditional_expectation(tree: ScenarioTree, f: dict, t: int) -> dict:

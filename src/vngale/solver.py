@@ -19,8 +19,12 @@ takes 20-45 Newton steps on trees of up to 8191 nodes.  Each Newton
 system is assembled with one matrix product per group of edges sharing a
 cone, and eliminated leaf-to-root over the breadth-first node ids: a
 depth is one id slice, each node's block couples only its parent, and
-what a node receives from its children is one sum over their consecutive
-ids.  A depth's n x n blocks are solved by one LAPACK call each while
+what a node receives from its children is a sum over their consecutive
+ids.  No step gathers or scatters by node id on a dense chain: a group's
+children and parents are evenly spaced ids, indexed as basic slices, and
+where every node of a depth has c children a child sum adds the c slots
+of a reshape view in child order (``np.add.reduceat`` otherwise).
+A depth's n x n blocks are solved by one LAPACK call each while
 the depth is narrow.  From ``_BATCH_LAST_WIDTH`` nodes on (8-256 by n,
 up to n = 12), the depth is laid out batch-last, ``(n, 2n + 1, nodes)``,
 and reduced by Gauss-Jordan elimination, each row operation one vector
@@ -77,7 +81,7 @@ from .cones import (
 )
 from .lp import lp_solve  # not called here; perfbench/tracing.py wraps it
 from .plans import BalancedStrategy, ContingentPlan, DualPlan
-from .scenario import MarkovSpec, ScenarioTree
+from .scenario import MarkovSpec, ScenarioTree, _child_sums, _fanout
 
 __all__ = [
     "SolverError",
@@ -187,16 +191,31 @@ def _edge_matrices(cone: ConeSpec):
     return -C, D
 
 
+def _as_slice(ids):
+    """Ascending ids as a basic slice when evenly spaced, else the ids:
+    indexing with it reads a view and writes in place, with no gather
+    or scatter."""
+    step = int(ids[1] - ids[0]) if ids.size > 1 else 1
+    if step > 0 and (np.diff(ids) == step).all():
+        return slice(int(ids[0]), int(ids[-1]) + 1, step)
+    return ids
+
+
 class _EdgeGroup:
     """Edges sharing one cone (child ids ``nodes``, ascending),
-    vectorized together.  Each row's flattened outer products are
-    tabulated once, so Hessian blocks are one GEMM with the row weights.
+    vectorized together.  ``at`` and ``at_parent`` index the children
+    and parents, as slices where they are evenly spaced (on a dense
+    chain the edges into one state are every c-th id).  Each row's
+    flattened outer products are tabulated once, so Hessian blocks are
+    one GEMM with the row weights.
     """
 
     def __init__(self, cone, nodes, parents):
         self.cone = cone
         self.nodes = np.asarray(nodes, dtype=int)
         self.parents = np.asarray(parents, dtype=int)
+        self.at = _as_slice(self.nodes)
+        self.at_parent = _as_slice(self.parents)
         self.Fa, self.Fv = _edge_matrices(cone)
         r = self.Fa.shape[0]
         self.FaFa = (self.Fa[:, :, None] * self.Fa[:, None, :]).reshape(r, -1)
@@ -204,7 +223,7 @@ class _EdgeGroup:
         self.FvFa = (self.Fv[:, :, None] * self.Fa[:, None, :]).reshape(r, -1)
 
     def residual_rows(self, Y):
-        return Y[self.parents] @ self.Fa.T + Y[self.nodes] @ self.Fv.T
+        return Y[self.at_parent] @ self.Fa.T + Y[self.at] @ self.Fv.T
 
 
 def _edge_groups(tree: ScenarioTree, cone_table):
@@ -254,10 +273,19 @@ class _TreeProgram:
         self.n = cone_table.n
         self.groups = _edge_groups(tree, cone_table)
         # non-leaf nodes are the ids below the last depth
-        self.n_inner = int(tree.depth_start[tree.horizon])
-        self.leaves = tree.leaves()
+        ds = tree.depth_start
+        self.n_inner = int(ds[tree.horizon])
+        self.leaves = slice(self.n_inner, tree.n_nodes)
         self.leaf_prob = tree.abs_prob[self.leaves]
-        W = np.zeros((self.leaves.size, self.n))
+        # (fanout, child range offsets) for _child_sums over the
+        # children of all non-leaf nodes, and of each depth's nodes
+        first = tree.first_child
+        self.inner_sums = (_fanout(tree, 0, self.n_inner),
+                           first[:self.n_inner] - 1)
+        self.depth_sums = [(_fanout(tree, ds[d], ds[d + 1]),
+                            first[ds[d]:ds[d + 1]] - ds[d + 1])
+                           for d in range(tree.horizon)]
+        W = np.zeros((tree.n_nodes - self.n_inner, self.n))
         for g in self.groups:
             at_leaf = g.nodes[g.nodes >= self.n_inner]
             W[at_leaf - self.n_inner] = wealth_weights(g.cone, objective)
@@ -288,7 +316,7 @@ class _TreeProgram:
         for g, r in zip(self.groups, rows):
             if (r >= 0.0).any():
                 return np.inf
-            total -= mu * float(prob[g.nodes] @ np.log(-r).sum(axis=1))
+            total -= mu * float(prob[g.at] @ np.log(-r).sum(axis=1))
         return total
 
     def _assemble(self, Y, mu, objective=True):
@@ -307,10 +335,9 @@ class _TreeProgram:
 
         # coordinate barriers, weighted by node probability
         prob = self.tree.abs_prob
-        idx = np.arange(n)
         mw = mu * prob[1:, None]
         G[1:] -= mw / Y[1:]
-        H[1:, idx, idx] += mw / Y[1:] ** 2
+        H.reshape(N, n * n)[1:, ::n + 1] += mw / Y[1:] ** 2  # diagonals
 
         # terminal objective
         vals = (self.leaf_w * Y[self.leaves]).sum(axis=1)
@@ -322,18 +349,17 @@ class _TreeProgram:
         rows = [g.residual_rows(Y) for g in self.groups]
         for g, r in zip(self.groups, rows):
             u = 1.0 / (-r)  # positive
-            mw = mu * prob[g.nodes, None]
+            mw = mu * prob[g.at, None]
             w = mw * u ** 2
             mu_u = mw * u
-            PG[g.nodes] = mu_u @ g.Fa
-            PH[g.nodes] = w @ g.FaFa
-            G[g.nodes] += mu_u @ g.Fv
-            H[g.nodes] += (w @ g.FvFv).reshape(-1, n, n)
-            CP[g.nodes] = (w @ g.FvFa).reshape(-1, n, n)
-        # each non-leaf node has >= 1 child: no reduceat range is empty
-        starts = self.tree.first_child[:self.n_inner] - 1
-        G[:self.n_inner] += np.add.reduceat(PG[1:], starts)
-        H[:self.n_inner] += np.add.reduceat(PH[1:], starts).reshape(-1, n, n)
+            PG[g.at] = mu_u @ g.Fa
+            PH[g.at] = w @ g.FaFa
+            G[g.at] += mu_u @ g.Fv
+            H[g.at] += (w @ g.FvFv).reshape(-1, n, n)
+            CP[g.at] = (w @ g.FvFa).reshape(-1, n, n)
+        G[:self.n_inner] += _child_sums(PG[1:], *self.inner_sums)
+        H[:self.n_inner] += _child_sums(PH[1:], *self.inner_sums).reshape(
+            -1, n, n)
         return G, H, CP, vals, rows
 
     def _max_step(self, Y, dY, rows):
@@ -391,7 +417,10 @@ class _TreeProgram:
         the system in O(depth) batched dense solves.  Depth ``d`` is the
         id slice ``depth_start[d]:depth_start[d+1]``; the Schur
         complement of each child goes to its parent in the depth
-        ``d-1`` slice as one sum over consecutive child ranges.
+        ``d-1`` slice as one sum over consecutive child ranges
+        (:func:`vngale.scenario._child_sums`).  Where the parents share
+        one child count, back-substitution repeats each parent's step
+        over its children instead of gathering it by parent id.
 
         A depth's block solves ``[H^-1 g | H^-1 CP]`` are the only
         branch.  A depth of at least W nodes (``_BATCH_LAST_WIDTH``, by
@@ -405,7 +434,7 @@ class _TreeProgram:
         """
         tree = self.tree
         N, n = G.shape
-        ds, first_child = tree.depth_start, tree.first_child
+        ds = tree.depth_start
         idx = np.arange(n)
         # relative ridge: value-flat directions (a leaf cares only
         # about total wealth) otherwise drive the block singular as
@@ -430,17 +459,19 @@ class _TreeProgram:
                                       f"{d}") from None
             if d > 1:
                 ps = slice(ds[d - 1], ds[d])
-                schur = np.add.reduceat(
-                    CP[vs].transpose(0, 2, 1) @ sol[vs],
-                    first_child[ps] - ds[d])
+                schur = _child_sums(CP[vs].transpose(0, 2, 1) @ sol[vs],
+                                    *self.depth_sums[d - 1])
                 G[ps] -= schur[:, :, 0]
                 H[ps] -= schur[:, :, 1:]
 
         delta = np.zeros((N, n))
         for d in range(1, tree.horizon + 1):
             vs = slice(ds[d], ds[d + 1])
+            fanout = self.depth_sums[d - 1][0]
+            up = (np.repeat(delta[ds[d - 1]:ds[d]], fanout, axis=0)
+                  if fanout else delta[tree.parent[vs]])
             delta[vs] = -(sol[vs, :, 0] + (
-                sol[vs, :, 1:] @ delta[tree.parent[vs], :, None])[:, :, 0])
+                sol[vs, :, 1:] @ up[:, :, None])[:, :, 0])
         # g^T H^-1 g, summed over the blocks as they were eliminated
         decrement = float(np.einsum("vi,vi->", G[1:], sol[1:, :, 0]))
         return delta, decrement
@@ -585,7 +616,8 @@ def _extract_tree_dual(tree, X, prog):
     horizon.  Going up one depth slice at a time, a node's price is
     ``p_j = max_i G[i, j] e_i``, with ``e`` the node's terminal vector
     at a leaf and otherwise the conditional mean of its children's
-    prices (one sum over their consecutive ids).  Returns the dual and
+    prices (one sum over their consecutive ids, added as
+    :meth:`DualPlan.expected_next` adds them).  Returns the dual and
     its largest support residual ``|p_v . x_parent - 1|``.
     """
     term = prog.leaf_w / (prog.leaf_w * X[prog.leaves]).sum(axis=1)[:, None]
@@ -596,8 +628,8 @@ def _extract_tree_dual(tree, X, prog):
         lo, hi = ds[d], ds[d + 1]
         if d < tree.horizon:
             kids = slice(hi, ds[d + 2])
-            e = np.add.reduceat(tree.cond_prob[kids, None] * prices[kids],
-                                tree.first_child[lo:hi] - hi)
+            e = _child_sums(tree.cond_prob[kids, None] * prices[kids],
+                            *prog.depth_sums[d])
         for g in prog.groups:
             i, j = np.searchsorted(g.nodes, (lo, hi))
             nodes = g.nodes[i:j]
@@ -877,35 +909,55 @@ def numeraire_dual_frictionless(plan: ContingentPlan,
     property, verifiable with the certificate checker).  The terminal
     layer extends the same construction one step past the horizon using
     the Markov transition probabilities.
+
+    One product per edge group, and per (leaf state, successor) pair for
+    the terminal layer.  The error raised is the one at the first node
+    in id order that has a costly cone or zero post-return wealth; the
+    terminal layer is checked after every edge, leaf by leaf and
+    successor by successor.  A transition without a cone raises
+    ``KeyError`` before any of these checks.
     """
     tree = plan.tree
     spec = tree.spec
-    n = plan.n
     X = plan.x
-    prices = np.zeros((tree.n_nodes, n))
-    for v in range(1, tree.n_nodes):
-        cone = cone_table.resolve(*tree.transition_label(v))
+    prices = np.zeros((tree.n_nodes, plan.n))
+    errors = []  # (node, successor, error) of each group's first failure
+    for cone, nodes, parents in _group_edges(tree, cone_table):
         if cone.family != FRICTIONLESS:
-            raise ValueError("numeraire construction requires frictionless "
-                             f"cones; transition into node {v} is "
-                             f"{cone.family}")
-        denom = float(cone.returns @ X[tree.parent[v]])
-        if denom <= _WEALTH_FLOOR:
-            raise SolverError(f"zero post-return wealth above node {v}")
-        prices[v] = cone.returns / denom
-    leaves = tree.leaves()
-    term = np.zeros((leaves.size, n))
-    for i, v in enumerate(leaves):
-        s = tree.state[v]
-        acc = np.zeros(n)
+            errors.append((nodes[0], 0, ValueError(
+                "numeraire construction requires frictionless cones; "
+                f"transition into node {nodes[0]} is {cone.family}")))
+            continue
+        denom = X[parents] @ cone.returns
+        zero = nodes[denom <= _WEALTH_FLOOR]
+        if zero.size:
+            errors.append((zero[0], 0, SolverError(
+                f"zero post-return wealth above node {zero[0]}")))
+            continue
+        prices[nodes] = cone.returns / denom[:, None]
+    if errors:
+        raise min(errors, key=lambda e: e[:2])[2]
+
+    lo = tree.depth_start[tree.horizon]
+    leaf_state = tree.state[lo:]
+    term = np.zeros((tree.n_nodes - lo, plan.n))
+    for s in np.unique(leaf_state):
+        at = np.flatnonzero(leaf_state == s)
+        # successors in order, so each leaf adds its terms as a loop would
         for w in np.flatnonzero(spec.P[s] > 0.0):
             cone = cone_table.resolve(spec.states[s], spec.states[w])
             if cone.family != FRICTIONLESS:
-                raise ValueError("numeraire construction requires "
-                                 "frictionless cones past the horizon")
-            denom = float(cone.returns @ X[v])
-            if denom <= _WEALTH_FLOOR:
-                raise SolverError(f"zero post-return wealth at leaf {v}")
-            acc += spec.P[s, w] * cone.returns / denom
-        term[i] = acc
+                errors.append((lo + at[0], w, ValueError(
+                    "numeraire construction requires frictionless cones "
+                    "past the horizon")))
+                continue
+            denom = X[lo + at] @ cone.returns
+            zero = lo + at[denom <= _WEALTH_FLOOR]
+            if zero.size:
+                errors.append((zero[0], w, SolverError(
+                    f"zero post-return wealth at leaf {zero[0]}")))
+                continue
+            term[at] += spec.P[s, w] * cone.returns / denom[:, None]
+    if errors:
+        raise min(errors, key=lambda e: e[:2])[2]
     return DualPlan(tree, prices, term)
