@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import _group_edges, _membership_residual
-from .scenario import ScenarioTree, _child_sums, _fanout
+from .scenario import ScenarioTree, _child_sums
 
 __all__ = [
     "ContingentPlan",
@@ -161,14 +161,13 @@ class DualPlan:
         terminal expectation.
         """
         tree = self.tree
-        d, ds = tree.depth[v], tree.depth_start
-        if d >= tree.horizon:
-            return self.terminal[v - ds[tree.horizon]]
+        if tree.depth[v] >= tree.horizon:
+            return self.terminal[v - tree.depth_start[tree.horizon]]
         kids = tree.children(v)
         # summed as the tree solver's dual recursion sums v's depth, so
         # the dual-cone rows of its least prices hold exactly here
-        return _child_sums(tree.cond_prob[kids, None] * self.prices[kids],
-                           _fanout(tree, ds[d], ds[d + 1]), [0])[0]
+        return _child_sums(tree, tree.cond_prob[kids, None]
+                           * self.prices[kids], v, v + 1)[0]
 
     def expected_next_rows(self) -> np.ndarray:
         """:meth:`expected_next` of every node, one row per node id.
@@ -182,9 +181,8 @@ class DualPlan:
         S = tree.cond_prob[:, None] * self.prices
         out = np.empty_like(self.prices)
         for d in range(tree.horizon):
-            lo, hi = ds[d], ds[d + 1]
-            out[lo:hi] = _child_sums(S[hi:ds[d + 2]], _fanout(tree, lo, hi),
-                                     tree.first_child[lo:hi] - hi)
+            out[ds[d]:ds[d + 1]] = _child_sums(tree, S[ds[d + 1]:ds[d + 2]],
+                                               ds[d], ds[d + 1])
         out[ds[tree.horizon]:] = self.terminal
         return out
 

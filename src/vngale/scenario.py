@@ -15,6 +15,7 @@ requested, and paths can be generated in parallel in any order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -185,6 +186,15 @@ class ScenarioTree:
     def leaves(self) -> np.ndarray:
         return self.nodes_at_depth(self.horizon)
 
+    @cached_property
+    def _depth_fanout(self) -> np.ndarray:
+        """Per depth above the horizon, the child count shared by all its
+        nodes, or 0 where their counts differ (see :func:`_child_sums`)."""
+        ds = self.depth_start[:self.horizon]
+        counts = self.n_children[:self.depth_start[self.horizon]]
+        fewest = np.minimum.reduceat(counts, ds)
+        return np.where(fewest == np.maximum.reduceat(counts, ds), fewest, 0)
+
     def state_label(self, v: int) -> str | None:
         s = self.state[v]
         return None if s < 0 else self.spec.states[s]
@@ -269,32 +279,26 @@ def build_tree(spec: MarkovSpec, horizon: int,
                         depth_start=_readonly(depth_start, dtype=int))
 
 
-def _fanout(tree: ScenarioTree, lo: int, hi: int) -> int:
-    """The child count shared by every node ``lo .. hi - 1``, or 0 when
-    their counts differ."""
-    counts = tree.n_children[lo:hi]
-    return int(counts[0]) if (counts == counts[0]).all() else 0
+def _child_sums(tree: ScenarioTree, S: np.ndarray, lo: int,
+                hi: int) -> np.ndarray:
+    """Per-parent sums of child rows, for the non-leaf nodes lo .. hi-1.
 
-
-def _child_sums(S: np.ndarray, fanout: int, starts) -> np.ndarray:
-    """Per-parent sums of consecutive child rows, one row per parent.
-
-    ``S`` holds the children's rows in id order.  With ``fanout`` c > 0
-    (every parent has c children, :func:`_fanout`) a sum adds the slots
-    of the ``(parents, c, ...)`` reshape view of ``S`` one by one, in
-    child order.  With 0 it is one ``np.add.reduceat`` at ``starts``, the
-    offsets of the child ranges in ``S``.  The two agree bit for bit up
-    to two children; over three or more reduceat adds in another order,
-    so sums that must match exactly (the tree dual's and a dual plan's
-    expectations) take the branch of the same depth.
+    ``S`` holds the rows of their children, in id order.  Where every
+    node of the depths the range touches has c children, a sum adds the
+    slots of the ``(parents, c, ...)`` reshape view one by one, in child
+    order; otherwise it is one ``np.add.reduceat`` over the child ranges.
+    The two round differently over three or more children, so the branch
+    is the depth's: a sum over one node equals its row in a sum over its
+    depth bit for bit (the tree dual's and a dual plan's expectations).
     """
-    if not fanout:
-        return np.add.reduceat(S, starts)
-    V = S.reshape(-1, fanout, *S.shape[1:])
-    if fanout == 1:
-        return V[:, 0].copy()
-    out = V[:, 0] + V[:, 1]
-    for j in range(2, fanout):
+    f = tree._depth_fanout[tree.depth[lo]:tree.depth[hi - 1] + 1]
+    c = int(f[0])
+    if not c or (f != c).any():
+        return np.add.reduceat(S, tree.first_child[lo:hi]
+                               - tree.first_child[lo])
+    V = S.reshape(-1, c, *S.shape[1:])
+    out = V[:, 0].copy()
+    for j in range(1, c):
         out += V[:, j]
     return out
 

@@ -81,7 +81,7 @@ from .cones import (
 )
 from .lp import lp_solve  # not called here; perfbench/tracing.py wraps it
 from .plans import BalancedStrategy, ContingentPlan, DualPlan
-from .scenario import MarkovSpec, ScenarioTree, _child_sums, _fanout
+from .scenario import MarkovSpec, ScenarioTree, _child_sums
 
 __all__ = [
     "SolverError",
@@ -273,18 +273,9 @@ class _TreeProgram:
         self.n = cone_table.n
         self.groups = _edge_groups(tree, cone_table)
         # non-leaf nodes are the ids below the last depth
-        ds = tree.depth_start
-        self.n_inner = int(ds[tree.horizon])
+        self.n_inner = int(tree.depth_start[tree.horizon])
         self.leaves = slice(self.n_inner, tree.n_nodes)
         self.leaf_prob = tree.abs_prob[self.leaves]
-        # (fanout, child range offsets) for _child_sums over the
-        # children of all non-leaf nodes, and of each depth's nodes
-        first = tree.first_child
-        self.inner_sums = (_fanout(tree, 0, self.n_inner),
-                           first[:self.n_inner] - 1)
-        self.depth_sums = [(_fanout(tree, ds[d], ds[d + 1]),
-                            first[ds[d]:ds[d + 1]] - ds[d + 1])
-                           for d in range(tree.horizon)]
         W = np.zeros((tree.n_nodes - self.n_inner, self.n))
         for g in self.groups:
             at_leaf = g.nodes[g.nodes >= self.n_inner]
@@ -357,9 +348,9 @@ class _TreeProgram:
             G[g.at] += mu_u @ g.Fv
             H[g.at] += (w @ g.FvFv).reshape(-1, n, n)
             CP[g.at] = (w @ g.FvFa).reshape(-1, n, n)
-        G[:self.n_inner] += _child_sums(PG[1:], *self.inner_sums)
-        H[:self.n_inner] += _child_sums(PH[1:], *self.inner_sums).reshape(
-            -1, n, n)
+        G[:self.n_inner] += _child_sums(self.tree, PG[1:], 0, self.n_inner)
+        H[:self.n_inner] += _child_sums(self.tree, PH[1:], 0,
+                                        self.n_inner).reshape(-1, n, n)
         return G, H, CP, vals, rows
 
     def _max_step(self, Y, dY, rows):
@@ -418,9 +409,9 @@ class _TreeProgram:
         id slice ``depth_start[d]:depth_start[d+1]``; the Schur
         complement of each child goes to its parent in the depth
         ``d-1`` slice as one sum over consecutive child ranges
-        (:func:`vngale.scenario._child_sums`).  Where the parents share
-        one child count, back-substitution repeats each parent's step
-        over its children instead of gathering it by parent id.
+        (:func:`vngale.scenario._child_sums`).  Back-substitution
+        repeats each parent's step over its children instead of
+        gathering it by parent id.
 
         A depth's block solves ``[H^-1 g | H^-1 CP]`` are the only
         branch.  A depth of at least W nodes (``_BATCH_LAST_WIDTH``, by
@@ -459,17 +450,15 @@ class _TreeProgram:
                                       f"{d}") from None
             if d > 1:
                 ps = slice(ds[d - 1], ds[d])
-                schur = _child_sums(CP[vs].transpose(0, 2, 1) @ sol[vs],
-                                    *self.depth_sums[d - 1])
+                schur = _child_sums(tree, CP[vs].transpose(0, 2, 1)
+                                    @ sol[vs], ds[d - 1], ds[d])
                 G[ps] -= schur[:, :, 0]
                 H[ps] -= schur[:, :, 1:]
 
         delta = np.zeros((N, n))
         for d in range(1, tree.horizon + 1):
-            vs = slice(ds[d], ds[d + 1])
-            fanout = self.depth_sums[d - 1][0]
-            up = (np.repeat(delta[ds[d - 1]:ds[d]], fanout, axis=0)
-                  if fanout else delta[tree.parent[vs]])
+            vs, ps = slice(ds[d], ds[d + 1]), slice(ds[d - 1], ds[d])
+            up = np.repeat(delta[ps], tree.n_children[ps], axis=0)
             delta[vs] = -(sol[vs, :, 0] + (
                 sol[vs, :, 1:] @ up[:, :, None])[:, :, 0])
         # g^T H^-1 g, summed over the blocks as they were eliminated
@@ -628,8 +617,8 @@ def _extract_tree_dual(tree, X, prog):
         lo, hi = ds[d], ds[d + 1]
         if d < tree.horizon:
             kids = slice(hi, ds[d + 2])
-            e = _child_sums(tree.cond_prob[kids, None] * prices[kids],
-                            *prog.depth_sums[d])
+            e = _child_sums(tree, tree.cond_prob[kids, None] * prices[kids],
+                            lo, hi)
         for g in prog.groups:
             i, j = np.searchsorted(g.nodes, (lo, hi))
             nodes = g.nodes[i:j]
@@ -909,55 +898,35 @@ def numeraire_dual_frictionless(plan: ContingentPlan,
     property, verifiable with the certificate checker).  The terminal
     layer extends the same construction one step past the horizon using
     the Markov transition probabilities.
-
-    One product per edge group, and per (leaf state, successor) pair for
-    the terminal layer.  The error raised is the one at the first node
-    in id order that has a costly cone or zero post-return wealth; the
-    terminal layer is checked after every edge, leaf by leaf and
-    successor by successor.  A transition without a cone raises
-    ``KeyError`` before any of these checks.
     """
     tree = plan.tree
     spec = tree.spec
+    n = plan.n
     X = plan.x
-    prices = np.zeros((tree.n_nodes, plan.n))
-    errors = []  # (node, successor, error) of each group's first failure
-    for cone, nodes, parents in _group_edges(tree, cone_table):
+    prices = np.zeros((tree.n_nodes, n))
+    for v in range(1, tree.n_nodes):
+        cone = cone_table.resolve(*tree.transition_label(v))
         if cone.family != FRICTIONLESS:
-            errors.append((nodes[0], 0, ValueError(
-                "numeraire construction requires frictionless cones; "
-                f"transition into node {nodes[0]} is {cone.family}")))
-            continue
-        denom = X[parents] @ cone.returns
-        zero = nodes[denom <= _WEALTH_FLOOR]
-        if zero.size:
-            errors.append((zero[0], 0, SolverError(
-                f"zero post-return wealth above node {zero[0]}")))
-            continue
-        prices[nodes] = cone.returns / denom[:, None]
-    if errors:
-        raise min(errors, key=lambda e: e[:2])[2]
-
-    lo = tree.depth_start[tree.horizon]
-    leaf_state = tree.state[lo:]
-    term = np.zeros((tree.n_nodes - lo, plan.n))
-    for s in np.unique(leaf_state):
-        at = np.flatnonzero(leaf_state == s)
-        # successors in order, so each leaf adds its terms as a loop would
+            raise ValueError("numeraire construction requires frictionless "
+                             f"cones; transition into node {v} is "
+                             f"{cone.family}")
+        denom = float(cone.returns @ X[tree.parent[v]])
+        if denom <= _WEALTH_FLOOR:
+            raise SolverError(f"zero post-return wealth above node {v}")
+        prices[v] = cone.returns / denom
+    leaves = tree.leaves()
+    term = np.zeros((leaves.size, n))
+    for i, v in enumerate(leaves):
+        s = tree.state[v]
+        acc = np.zeros(n)
         for w in np.flatnonzero(spec.P[s] > 0.0):
             cone = cone_table.resolve(spec.states[s], spec.states[w])
             if cone.family != FRICTIONLESS:
-                errors.append((lo + at[0], w, ValueError(
-                    "numeraire construction requires frictionless cones "
-                    "past the horizon")))
-                continue
-            denom = X[lo + at] @ cone.returns
-            zero = lo + at[denom <= _WEALTH_FLOOR]
-            if zero.size:
-                errors.append((zero[0], w, SolverError(
-                    f"zero post-return wealth at leaf {zero[0]}")))
-                continue
-            term[at] += spec.P[s, w] * cone.returns / denom[:, None]
-    if errors:
-        raise min(errors, key=lambda e: e[:2])[2]
+                raise ValueError("numeraire construction requires "
+                                 "frictionless cones past the horizon")
+            denom = float(cone.returns @ X[v])
+            if denom <= _WEALTH_FLOOR:
+                raise SolverError(f"zero post-return wealth at leaf {v}")
+            acc += spec.P[s, w] * cone.returns / denom
+        term[i] = acc
     return DualPlan(tree, prices, term)

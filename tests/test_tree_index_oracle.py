@@ -2,16 +2,13 @@
 
 ``solver._TreeProgram`` indexes each edge group's children and parents
 by basic slices where they are evenly spaced, and adds a node's child
-terms from a ``(parents, c, ...)`` reshape view where every parent of
-the depth has ``c`` children (``scenario._child_sums``), falling back to
+terms from a ``(parents, c, ...)`` reshape view where every node of the
+depth has ``c`` children (``scenario._child_sums``), falling back to
 ``np.add.reduceat``.  The gather/scatter assembly and the ``reduceat``
 elimination it replaced are kept below verbatim as the reference.  On
 fanout-2 trees the two must agree bit for bit: adding two children is
 the same operation either way.  With three or more children ``reduceat``
 adds in another order, so there they agree to rounding.
-
-``numeraire_dual_frictionless`` is checked against the per-node loop it
-replaced, prices and error messages alike.
 """
 
 import numpy as np
@@ -19,16 +16,13 @@ import pytest
 
 from vngale import solver
 from vngale.cones import ConeSpec, ConeTable, _least_price
-from vngale.plans import ContingentPlan, DualPlan
-from vngale.scenario import MarkovSpec, _child_sums, _fanout, build_tree
+from vngale.scenario import MarkovSpec, _child_sums, build_tree
 from vngale.solver import (
     _BATCH_LAST_WIDTH,
-    _WEALTH_FLOOR,
     SolverError,
     _interior_start,
     _solve_batch_last,
     _TreeProgram,
-    numeraire_dual_frictionless,
     solve_tree_log_optimal,
 )
 
@@ -308,40 +302,52 @@ def child_sums_by_loop(S, counts):
     return np.array(out)
 
 
-@pytest.mark.parametrize("c", range(1, 6))
-def test_child_sums_add_slots_in_child_order(c):
-    rng = np.random.default_rng(c)
-    S = rng.standard_normal((7 * c, 3, 2)) * np.exp(
-        rng.uniform(-20, 20, (7 * c, 1, 1)))
-    starts = np.arange(0, S.shape[0], c)
-    got = _child_sums(S, c, starts)
-    assert np.array_equal(got, child_sums_by_loop(S, [c] * 7))
-    # one parent at a time gives the same bits
-    for p in range(7):
-        assert np.array_equal(_child_sums(S[p * c:(p + 1) * c], c, [0])[0],
-                              got[p])
-    fallback = _child_sums(S, 0, starts)
-    assert np.array_equal(fallback, np.add.reduceat(S, starts))
-    if c <= 2:
-        assert np.array_equal(fallback, got)
-
-
-def test_fanout_reads_shared_child_counts():
-    tree = build_tree(PRUNED, 3, root_state="B")
+@pytest.mark.parametrize("spec, root", [(COIN, None), (SKEW3, None),
+                                        (SKEW3, "B"), (PRUNED, None),
+                                        (PRUNED, "B")])
+def test_child_sums_take_the_branch_of_the_depth(spec, root):
+    tree = build_tree(spec, 4, root_state=root)
     ds = tree.depth_start
+    rng = np.random.default_rng(tree.n_nodes)
+    S = rng.standard_normal((tree.n_nodes, 3, 2)) * np.exp(
+        rng.uniform(-20, 20, (tree.n_nodes, 1, 1)))
+
+    def expected(lo, hi):
+        counts = tree.n_children[lo:hi]
+        kids = S[tree.first_child[lo]:tree.first_child[hi - 1] + counts[-1]]
+        if (tree.n_children[ds[tree.depth[lo]]:ds[tree.depth[hi - 1] + 1]]
+                == counts[0]).all():
+            return child_sums_by_loop(kids, counts)
+        return np.add.reduceat(kids, tree.first_child[lo:hi]
+                               - tree.first_child[lo])
+
+    inner = ds[tree.horizon]
+    assert np.array_equal(_child_sums(tree, S[1:], 0, inner),
+                          expected(0, inner))
+    for d in range(tree.horizon):
+        lo, hi = ds[d], ds[d + 1]
+        got = _child_sums(tree, S[hi:ds[d + 2]], lo, hi)
+        assert np.array_equal(got, expected(lo, hi))
+        # one node at a time takes its depth's branch: the same bits
+        for v in range(lo, hi):
+            one = _child_sums(tree, S[tree.children(v)], v, v + 1)
+            assert np.array_equal(one[0], got[v - lo])
+
+
+def test_depth_fanout_reads_shared_child_counts():
     # the root B has one child (C), C has three, then counts differ
-    assert [_fanout(tree, ds[d], ds[d + 1]) for d in range(3)] == [1, 3, 0]
-    assert _fanout(tree, 0, ds[3]) == 0
-    coin = build_tree(COIN, 3)
-    assert _fanout(coin, 0, coin.depth_start[3]) == 2
+    tree = build_tree(PRUNED, 4, root_state="B")
+    assert tree._depth_fanout.tolist() == [1, 3, 0, 0]
+    assert build_tree(SKEW3, 3)._depth_fanout.tolist() == [3, 3, 3]
 
 
 def test_newton_step_runs_both_child_sum_branches(monkeypatch):
-    fanouts = []
+    fanouts = set()
 
-    def record(S, fanout, starts):
-        fanouts.append(fanout)
-        return _child_sums(S, fanout, starts)
+    def record(tree, S, lo, hi):
+        fanouts.update(tree._depth_fanout[tree.depth[lo]:
+                                          tree.depth[hi - 1] + 1].tolist())
+        return _child_sums(tree, S, lo, hi)
 
     monkeypatch.setattr(solver, "_child_sums", record)
     tree = build_tree(PRUNED, 4, root_state="B")
@@ -365,106 +371,3 @@ def test_least_prices_meet_the_dual_rows_exactly(name, tree, table):
         assert np.array_equal(rows[v], dual.expected_next(v))
         G = table.resolve(*tree.transition_label(v)).exchange
         assert np.array_equal(dual.prices[v], _least_price(G, rows[v]))
-
-
-# ---------------------------------------------------------------------------
-# numeraire_dual_frictionless against its per-node loop
-
-
-def numeraire_by_loop(plan, cone_table):
-    tree = plan.tree
-    spec = tree.spec
-    n = plan.n
-    X = plan.x
-    prices = np.zeros((tree.n_nodes, n))
-    for v in range(1, tree.n_nodes):
-        cone = cone_table.resolve(*tree.transition_label(v))
-        if cone.family != "frictionless":
-            raise ValueError("numeraire construction requires frictionless "
-                             f"cones; transition into node {v} is "
-                             f"{cone.family}")
-        denom = float(cone.returns @ X[tree.parent[v]])
-        if denom <= _WEALTH_FLOOR:
-            raise SolverError(f"zero post-return wealth above node {v}")
-        prices[v] = cone.returns / denom
-    leaves = tree.leaves()
-    term = np.zeros((leaves.size, n))
-    for i, v in enumerate(leaves):
-        s = tree.state[v]
-        acc = np.zeros(n)
-        for w in np.flatnonzero(spec.P[s] > 0.0):
-            cone = cone_table.resolve(spec.states[s], spec.states[w])
-            if cone.family != "frictionless":
-                raise ValueError("numeraire construction requires "
-                                 "frictionless cones past the horizon")
-            denom = float(cone.returns @ X[v])
-            if denom <= _WEALTH_FLOOR:
-                raise SolverError(f"zero post-return wealth at leaf {v}")
-            acc += spec.P[s, w] * cone.returns / denom
-        term[i] = acc
-    return DualPlan(tree, prices, term)
-
-
-def outcome(f, plan, table):
-    try:
-        return f(plan, table)
-    except (ValueError, SolverError) as exc:
-        return type(exc), str(exc)
-
-
-def all_frictionless():
-    return ConeTable({"*->A": ConeSpec.frictionless([1.0, 1.3, 0.9]),
-                      "*->B": ConeSpec.frictionless([1.0, 0.8, 1.2]),
-                      "C->C": ConeSpec.frictionless([1.0, 1.1, 1.05]),
-                      "*->C": ConeSpec.frictionless([1.0, 0.95, 1.0])})
-
-
-@pytest.mark.parametrize("spec, table, root", [
-    (COIN, frictionless("UD"), None),
-    (COIN, frictionless("UD", 3), "U"),
-    (SKEW3, frictionless("ABC", 3), None),
-    (PRUNED, all_frictionless(), None),
-    (PRUNED, all_frictionless(), "B"),
-])
-def test_numeraire_dual_matches_the_loop(spec, table, root):
-    tree = build_tree(spec, 4, root_state=root)
-    rng = np.random.default_rng(tree.n_nodes)
-    solved = solve_tree_log_optimal(tree, table, x0_for(table),
-                                    extract_dual=False).plan
-    scattered = ContingentPlan(tree, rng.uniform(0.01, 2.0,
-                                                 (tree.n_nodes, table.n)))
-    for plan in (solved, scattered):
-        got = numeraire_dual_frictionless(plan, table)
-        ref = numeraire_by_loop(plan, table)
-        assert relative_gap(got.prices, ref.prices) <= 1e-15
-        assert relative_gap(got.terminal, ref.terminal) <= 1e-15
-
-
-def test_numeraire_dual_raises_as_the_loop_does():
-    """Random mixes of costly cones and zero-wealth nodes on pruned
-    trees: the same error, naming the same first node."""
-    cones = {"*->A": [1.0, 1.3, 0.9], "*->B": [1.0, 0.8, 1.2],
-             "C->C": [1.0, 1.1, 1.05], "*->C": [1.0, 0.95, 1.0]}
-    rng = np.random.default_rng(19)
-    kinds = set()
-    for trial in range(120):
-        costly_keys = [k for k in cones if rng.random() < 0.15]
-        table = ConeTable({k: (ConeSpec.proportional_tc(r, 0.01, 0.02)
-                               if k in costly_keys
-                               else ConeSpec.frictionless(r))
-                           for k, r in cones.items()})
-        tree = build_tree(PRUNED, int(rng.integers(1, 5)),
-                          root_state=[None, "A", "B", "C"][trial % 4])
-        x = rng.uniform(0.1, 2.0, (tree.n_nodes, 3))
-        x[rng.random(tree.n_nodes) < 0.04] = 0.0
-        plan = ContingentPlan(tree, x)
-        got = outcome(numeraire_dual_frictionless, plan, table)
-        ref = outcome(numeraire_by_loop, plan, table)
-        if isinstance(ref, tuple):
-            assert got == ref
-            kinds.add((ref[0], ref[1].split(" node ")[0].split(" leaf ")[0]))
-        else:
-            assert relative_gap(got.prices, ref.prices) <= 1e-15
-            assert relative_gap(got.terminal, ref.terminal) <= 1e-15
-    # every kind of error came up
-    assert len(kinds) == 4, kinds
