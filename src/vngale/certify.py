@@ -33,7 +33,7 @@ from .cones import (
     boundary_scale,  # not called here; perfbench/tracing.py wraps both
     dual_violation,
 )
-from .plans import BalancedStrategy, ContingentPlan, DualPlan
+from .plans import BalancedStrategy, ContingentPlan, DualPlan, _step_factors
 from .scenario import MarkovSpec, ScenarioTree, sample_paths
 from .solver import _StationaryProgram
 
@@ -376,6 +376,10 @@ def asymptotic_dominance(equilibrium, spec: MarkovSpec, cone_table,
     ``include`` (a map name -> BalancedStrategy).
 
     ``equilibrium`` may be an EquilibriumResult or a BalancedStrategy.
+    Every balanced plan steps by the growth factor of each transition it
+    takes (its state factor on the first step, which has no
+    predecessor); a competitor's factors are those the stationary solver
+    assigns its proportions.
 
     The simulation is one sweep over time for all C competitors at once:
     each step adds the sampled log growth factors to the strategy's and
@@ -387,10 +391,12 @@ def asymptotic_dominance(equilibrium, spec: MarkovSpec, cone_table,
     if length < 1 or paths < 1:
         raise ValueError("length and paths must be >= 1")
     strategy = getattr(equilibrium, "strategy", equilibrium)
-    k, n = spec.k, cone_table.n
+    k, n, states = spec.k, cone_table.n, spec.states
 
-    log_ax = np.log(_require_positive(
-        np.array([strategy.alpha[s] for s in spec.states]), "the strategy"))
+    # (k + 1, k) step factors: [previous state, state], row k the first step
+    step_x = _require_positive(_step_factors(strategy, states),
+                               "the strategy")
+    log_ax = np.log(step_x)
     prog = _StationaryProgram(spec, cone_table)
 
     # buy-and-hold and seeded random proportions, one stacked evaluation
@@ -400,16 +406,18 @@ def asymptotic_dominance(equilibrium, spec: MarkovSpec, cone_table,
     for j in range(competitors):
         names.append(f"random-{j}")
         props.append(rng.dirichlet(np.ones(n), size=k))
-    entries = list(zip(names, prog.growth_factors(np.stack(props))))
+    a = prog.factors(np.stack(props))
+    steps = np.ones((len(props), k + 1, k))
+    steps[:, prog.src, prog.dest] = a
+    steps[:, k] = prog.state_factors(a)
+    entries = list(zip(names, steps))
     entries.insert(n, ("dispose-10", 0.9 * np.exp(log_ax)))
     for name in sorted(include or {}):
-        extra = include[name]
-        entries.append((name, np.array([extra.alpha[s]
-                                        for s in spec.states])))
+        entries.append((name, _step_factors(include[name], states)))
 
     S = sample_paths(spec, length, paths, seed)
-    log_ay = np.stack([np.log(_require_positive(alph, f"competitor {name!r}"))
-                       for name, alph in entries], axis=1)  # (k, C)
+    log_ay = np.stack([np.log(_require_positive(f, f"competitor {name!r}"))
+                       for name, f in entries], axis=-1)  # (k + 1, k, C)
 
     # One sweep over time for every competitor: lx (paths,) and ly
     # (paths, C) are the log wealths, best is the running maximum of
@@ -421,13 +429,15 @@ def asymptotic_dominance(equilibrium, spec: MarkovSpec, cone_table,
     lx = np.zeros(paths)
     ly = np.zeros((paths, C))
     best = half = np.zeros((paths, C))
+    prev = np.full(paths, k)
     for t in range(length):
         if t == mid:
             half = best.copy()
         s = S[:, t]
-        lx += log_ax[s]
-        ly += log_ay[s]
+        lx += log_ax[prev, s]
+        ly += log_ay[prev, s]
         np.maximum(best, ly - lx[:, None], out=best)
+        prev = s
 
     # per-competitor statistics along the rows of C-contiguous (C, paths)
     # arrays: each row is summed pairwise, as a lone (paths,) array is
@@ -457,7 +467,7 @@ def asymptotic_dominance(equilibrium, spec: MarkovSpec, cone_table,
         length=length,
         paths=paths,
         seed=seed,
-        strategy_growth=float(prog.pi @ log_ax),
+        strategy_growth=float(prog.growth(step_x[prog.src, prog.dest])),
         rows=tuple(rows),
     )
 

@@ -5,8 +5,9 @@ node; it is self-financing when each parent-to-child pair of portfolios
 lies in the solvency cone of that transition.  A dual plan assigns price
 vectors to nodes of depth >= 1 plus a terminal expectation layer standing
 in for the prices one step past the horizon.  Balanced strategies give
-one proportion vector and one growth factor per Markov state and expand
-into plans whose portfolios scale geometrically along every path.
+one proportion vector per Markov state and one growth factor per
+transition, and expand into plans whose portfolios scale geometrically
+along every path.
 """
 
 from __future__ import annotations
@@ -202,14 +203,27 @@ class DualPlan:
         return cls(tree, prices, term)
 
 
+def _transition_key(u: str, v: str) -> str:
+    """The key ``"u->v"`` of a transition's growth factor or price."""
+    return f"{u}->{v}"
+
+
 @dataclass(frozen=True)
 class BalancedStrategy:
-    """Per-state proportions on the simplex and positive growth factors."""
+    """Per-state proportions on the simplex and positive growth factors.
+
+    Across a step u -> v, wealth held as ``x(u)`` grows to ``a * x(v)``,
+    with ``a = factors["u->v"]``.  ``alpha(v)`` is a state's factor, the
+    least over the transitions into v; it is the factor of a transition
+    without a key (all of them when ``factors`` is None, a state-keyed
+    strategy) and of a first step, which has no predecessor.
+    """
 
     x: dict
     alpha: dict
+    factors: dict | None = None
 
-    def __init__(self, x: dict, alpha: dict):
+    def __init__(self, x: dict, alpha: dict, factors: dict | None = None):
         if set(x) != set(alpha):
             raise ValueError("x and alpha must cover the same states")
         if not x:
@@ -224,24 +238,29 @@ class BalancedStrategy:
             vec = vec.copy()
             vec.flags.writeable = False
             xs[str(s)] = vec
-        al = {}
-        for s, a in alpha.items():
-            a = float(a)
-            if not np.isfinite(a) or a <= 0:
-                raise ValueError(f"growth factor for state {s!r} must be > 0")
-            al[str(s)] = a
         dims = {v.size for v in xs.values()}
         if len(dims) != 1:
             raise ValueError("proportion vectors disagree on dimension")
+        keys = {_transition_key(u, v) for u in xs for v in xs}
+        if factors is not None and not set(factors) <= keys:
+            raise ValueError("factors must be keyed 'u->v' by states: "
+                             f"{sorted(set(factors) - keys)}")
         object.__setattr__(self, "x", xs)
-        object.__setattr__(self, "alpha", al)
+        object.__setattr__(self, "alpha", _positive(alpha, "state"))
+        object.__setattr__(self, "factors", None if factors is None
+                           else _positive(factors, "transition"))
 
     @property
     def n(self) -> int:
         return next(iter(self.x.values())).size
 
     def log_growth_rate(self, pi: dict | np.ndarray, states=None) -> float:
-        """Expected log growth sum_s pi(s) ln alpha(s)."""
+        """State-keyed expected log growth sum_s pi(s) ln alpha(s).
+
+        It is the growth of a strategy without transition factors; the
+        stationary solver's ``log_growth`` weighs each transition's own
+        factor instead.
+        """
         if isinstance(pi, dict):
             return float(sum(w * np.log(self.alpha[s])
                              for s, w in pi.items()))
@@ -250,14 +269,27 @@ class BalancedStrategy:
                          for i, s in enumerate(states)))
 
     def to_dict(self) -> dict:
-        return {
+        d = {
             "x": {s: v.tolist() for s, v in sorted(self.x.items())},
             "alpha": {s: a for s, a in sorted(self.alpha.items())},
         }
+        if self.factors is not None:
+            d["factors"] = dict(sorted(self.factors.items()))
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "BalancedStrategy":
-        return cls(d["x"], d["alpha"])
+        return cls(d["x"], d["alpha"], d.get("factors"))
+
+
+def _positive(factors: dict, kind: str) -> dict:
+    out = {}
+    for s, a in factors.items():
+        a = float(a)
+        if not np.isfinite(a) or a <= 0:
+            raise ValueError(f"growth factor for {kind} {s!r} must be > 0")
+        out[str(s)] = a
+    return out
 
 
 def is_self_financing(plan: ContingentPlan, cone_table,
@@ -279,15 +311,29 @@ def is_self_financing(plan: ContingentPlan, cone_table,
 
 
 def _path_factors(strategy: BalancedStrategy, tree: ScenarioTree):
-    """factor[v] = product of alpha over the states on the path to v
-    (excluding the root's own state)."""
+    """factor[v] = product of the growth factors of the transitions on
+    the path to v; under a free root the first takes its state's alpha."""
     factor = np.ones(tree.n_nodes)
-    alpha_by_index = np.array([strategy.alpha[s] for s in tree.spec.states])
+    # a free root has state -1, the row of the state factors
+    step = _step_factors(strategy, tree.spec.states)
     ds = tree.depth_start
     for d in range(1, tree.horizon + 1):
         vs = slice(ds[d], ds[d + 1])
-        factor[vs] = factor[tree.parent[vs]] * alpha_by_index[tree.state[vs]]
+        par = tree.parent[vs]
+        factor[vs] = factor[par] * step[tree.state[par], tree.state[vs]]
     return factor
+
+
+def _step_factors(strategy, states) -> np.ndarray:
+    """A strategy's growth factors as a ``(k + 1, k)`` array over
+    ``states``: row u < k holds the transitions out of u, row k (index
+    -1, a free root's state) the state factors that a first step takes.
+    A strategy without transition factors steps by its state factors."""
+    alpha = [strategy.alpha[v] for v in states]
+    factors = getattr(strategy, "factors", None) or {}
+    return np.array([[factors.get(_transition_key(u, v), a)
+                      for v, a in zip(states, alpha)]
+                     for u in states] + [alpha])
 
 
 def _require_states(strategy: BalancedStrategy, tree: ScenarioTree):
@@ -300,10 +346,10 @@ def expand_balanced(strategy: BalancedStrategy,
                     tree: ScenarioTree) -> ContingentPlan:
     """Expand per-state proportions into a plan on the tree.
 
-    The portfolio at a depth-t node with state path s_1 .. s_t is
-    ``alpha(s_t) * ... * alpha(s_1) * x(s_t)``; the root holds
-    ``x(root state)``, so the tree must have been built with a root
-    state.
+    The portfolio at a depth-t node with state path s_0 .. s_t is
+    ``a(s_0, s_1) * ... * a(s_{t-1}, s_t) * x(s_t)``, with ``a`` the
+    transition factors; the root holds ``x(s_0)``, so the tree must have
+    been built with a root state.
     """
     _require_states(strategy, tree)
     if tree.state[0] < 0:
@@ -319,26 +365,33 @@ def expand_balanced(strategy: BalancedStrategy,
 
 def expand_balanced_dual(strategy: BalancedStrategy, p: dict,
                          tree: ScenarioTree) -> DualPlan:
-    """Expand per-state prices into a dual plan.
+    """Expand stationary prices into a dual plan.
 
-    At a depth-t node the price is ``p(s_t)`` divided by the growth
-    accumulated through the *parent*: one factor behind the portfolio
-    expansion.  The terminal layer holds the exact conditional
-    expectation of the virtual next-step prices,
-    ``sum_w P(s_T, w) p(w) / factor(leaf)``.
+    ``p`` maps a transition ``"u->v"`` to its price ``p(u, v)``, and a
+    state v to the price of a transition into v that has no key (all of
+    them in a state-keyed file) or that starts at a free root.  The
+    price at a node entered by u -> v is ``p(u, v)`` divided by the
+    growth accumulated through the *parent*: one factor behind the
+    portfolio expansion.  The terminal layer holds the exact conditional
+    expectation of the virtual next-step prices, ``sum_w P(s_T, w)
+    p(s_T, w) / factor(leaf)``.
     """
     _require_states(strategy, tree)
-    missing = [s for s in tree.spec.states if s not in p]
+    states = tree.spec.states
+    missing = [s for s in states if s not in p]
     if missing:
         raise KeyError(f"prices missing states: {missing}")
     factor = _path_factors(strategy, tree)
-    p_by_index = np.stack([np.asarray(p[s], dtype=float)
-                           for s in tree.spec.states])
-    prices = np.zeros((tree.n_nodes, p_by_index.shape[1]))
-    prices[1:] = p_by_index[tree.state[1:]] / factor[tree.parent[1:], None]
+    # by_step[u, v] = p(u, v); row k (index -1, a free root) the state keys
+    by_step = np.array([[p.get(_transition_key(u, v), p[v]) for v in states]
+                        for u in states] + [[p[v] for v in states]],
+                       dtype=float)
+    par = tree.parent[1:]
+    prices = np.zeros((tree.n_nodes, by_step.shape[2]))
+    prices[1:] = by_step[tree.state[par], tree.state[1:]] / factor[par, None]
     leaves = tree.leaves()
     # E[p next | state s] once per state, then one division per leaf
-    ahead = np.stack([P_s @ p_by_index for P_s in tree.spec.P])
+    ahead = np.stack([P_s @ p_s for P_s, p_s in zip(tree.spec.P, by_step)])
     term = ahead[tree.state[leaves]] / factor[leaves, None]
     return DualPlan(tree, prices, term)
 

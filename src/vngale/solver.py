@@ -48,23 +48,26 @@ since an exactly-supporting dual makes every competitor's deflated
 wealth a supermartingale.
 
 The stationary solver searches over per-state simplex proportions with a
-seeded multistart pattern search, growth factors being recovered per
-transition as the largest feasible scale toward the destination
-proportions.  All starts advance in lockstep, each with its own step
-size, and each sweep is one stacked evaluation: the feasible moves of
-every running start go through one boundary-scale call per
-(predecessor, state) pair, in chunks of at most
-``_SEARCH_CHUNK_ELEMENTS`` elements (tables x facet rows).  A table's
-value does not depend on the stack it sits in, so every start ends
-where it would alone, bit for bit.  Supporting state prices come from the
-tree's least-price recursion, run to its fixed point on each closed
-class of the chain, then on the transient states.
+seeded multistart pattern search.  A balanced strategy grows by one
+factor per transition u -> v, the largest feasible scale from the
+proportions of u toward those of v, and the search maximizes the
+stationary mean of their logs.  All starts advance in lockstep, each
+with its own step size, and each sweep is one stacked evaluation: the
+feasible moves of every running start go through one boundary-scale
+call per transition, in chunks of at most ``_SEARCH_CHUNK_ELEMENTS``
+elements (tables x facet rows).  A table's value does not depend on the
+stack it sits in, so every start ends where it would alone, bit for
+bit.  Newton steps on the smooth piece of the objective polish the best
+table past the search's resolution.  Transient states, which carry no
+stationary weight, then take the proportions of their best one-step
+growth.  Supporting prices, one per transition, come from the tree's
+least-price recursion, run to its fixed point on each closed class of
+the chain, then on the transient states.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -80,7 +83,13 @@ from .cones import (
     wealth_weights,
 )
 from .lp import lp_solve  # not called here; perfbench/tracing.py wraps it
-from .plans import BalancedStrategy, ContingentPlan, DualPlan
+from .plans import (
+    BalancedStrategy,
+    ContingentPlan,
+    DualPlan,
+    _step_factors,
+    _transition_key,
+)
 from .scenario import MarkovSpec, ScenarioTree, _child_sums
 
 __all__ = [
@@ -150,7 +159,15 @@ class TreeSolveResult:
 
 @dataclass(frozen=True)
 class EquilibriumResult:
-    """Balanced strategy, supporting state prices, and growth data."""
+    """Balanced strategy, supporting prices, and growth data.
+
+    ``prices`` maps each transition ``"u->v"`` to its price and each
+    state to the elementwise max of the prices of the transitions into
+    it (see :func:`extract_equilibrium_prices`); a file written before
+    transition keys existed holds state keys only, which price every
+    transition into their state.  ``log_growth`` is ``sum_u pi(u) sum_v
+    P(u, v) log a(u, v)`` over the strategy's transition factors.
+    """
 
     strategy: BalancedStrategy
     prices: dict
@@ -632,62 +649,94 @@ def _extract_tree_dual(tree, X, prog):
 
 
 class _StationaryProgram:
-    """Stationary growth objective with transition cones resolved once."""
+    """Stationary growth objective with transition cones resolved once.
 
-    def __init__(self, spec, cone_table):
+    ``src[t] -> dest[t]`` are the positive-probability transitions, in
+    row-major order, and ``weight`` their stationary weights ``pi(u) P(u,
+    v)`` where that is positive (the ``live`` transitions).  With
+    ``states`` the weights are ``P(u, v)`` on the transitions out of
+    those states and zero elsewhere: their expected one-step growth.
+    """
+
+    def __init__(self, spec, cone_table, states=None):
         self.pi = spec.stationary_distribution()
-        self.preds = [
-            [(int(u), cone_table.resolve(spec.states[u], spec.states[v]))
-             for u in np.flatnonzero(spec.P[:, v] > 0.0)]
-            for v in range(spec.k)
-        ]
+        self.k = spec.k
+        self.src, self.dest = np.nonzero(spec.P > 0.0)
+        self.cones = [cone_table.resolve(spec.states[u], spec.states[v])
+                      for u, v in zip(self.src, self.dest)]
+        if states is None:
+            weight = self.pi[self.src]
+        else:
+            weight = np.zeros(self.k)
+            weight[states] = 1.0
+            weight = weight[self.src]
+        weight = weight * spec.P[self.src, self.dest]
+        self.live = weight > 0.0
+        self.weight = weight[self.live]
+        # the states a search moves: those whose transitions carry weight
+        self.movable = np.zeros(self.k, dtype=bool)
+        self.movable[self.src[self.live]] = True
         # largest facet-row count of a transition: sets the search chunks
-        self.rows = max((cone.facets[0].shape[0] for preds in self.preds
-                         for _, cone in preds), default=1)
+        self.rows = max(cone.facets[0].shape[0] for cone in self.cones)
 
-    def growth_factors(self, xs):
-        """alpha[..., v]: largest scale of x(v) reachable from every
-        positive-probability predecessor's proportions (1 without any).
+    def factors(self, xs):
+        """a[..., t]: largest scale of x(dest[t]) reachable from
+        x(src[t]) across transition t (1 where no row binds).
 
         ``xs`` is one ``(k, n)`` table of proportions or a stack
-        ``(M, k, n)`` of them; each (predecessor, state) pair is one
-        boundary-scale call over the whole stack.
+        ``(M, k, n)`` of them; each transition is one boundary-scale call
+        over the whole stack.
         """
         xs = np.asarray(xs, dtype=float)
-        alpha = np.ones(xs.shape[:-1])
-        for v, preds in enumerate(self.preds):
-            if not preds:
-                continue
-            best = np.min([_boundary_scale(cone, xs[..., u, :], xs[..., v, :])
-                           for u, cone in preds], axis=0)
-            alpha[..., v] = np.where(best < np.inf, best, 1.0)
+        a = np.stack([_boundary_scale(cone, xs[..., u, :], xs[..., v, :])
+                      for cone, u, v in zip(self.cones, self.src,
+                                            self.dest)], axis=-1)
+        return np.where(a < np.inf, a, 1.0)
+
+    def state_factors(self, a):
+        """alpha[..., v]: the least factor ``a`` of a transition into v
+        (1 without any)."""
+        alpha = np.ones(a.shape[:-1] + (self.k,))
+        for v in range(self.k):
+            into = self.dest == v
+            if into.any():
+                alpha[..., v] = a[..., into].min(axis=-1)
         return alpha
 
+    def growth_factors(self, xs):
+        """:meth:`state_factors` of the table or stack ``xs``."""
+        return self.state_factors(self.factors(xs))
+
+    def growth(self, a):
+        """Expected log growth ``sum_u pi(u) sum_v P(u, v) log a(u, v)`` of
+        the transition factors ``a[..., t]``, over the live transitions,
+        added in transition order: a stacked table sums as it would
+        alone."""
+        logs = np.log(a[..., self.live])
+        total = np.zeros(logs.shape[:-1])
+        for t, w in enumerate(self.weight):
+            total = total + w * logs[..., t]
+        return total
+
     def value(self, xs):
-        """Expected log growth ``pi . log(alpha)`` and the growth factors,
-        for one table (a float) or a stack of them (an ``(M,)`` array);
-        ``-inf`` where a state of positive weight has no growth."""
-        alpha = self.growth_factors(xs)
-        mask = self.pi > 0
-        dead = (alpha[..., mask] <= 0.0).any(axis=-1)
-        logs = np.zeros(alpha.shape)
-        logs[..., mask] = np.log(np.where(dead[..., None], 1.0,
-                                          alpha[..., mask]))
-        # one dot product per table, as for a single table
-        f = np.where(dead, -np.inf, (self.pi @ logs[..., None])[..., 0])
-        return (float(f) if f.ndim == 0 else f), alpha
+        """:meth:`growth` and the state factors, for one table (a float)
+        or a stack of them (an ``(M,)`` array); ``-inf`` where a live
+        transition has no growth."""
+        a = self.factors(xs)
+        dead = (a[..., self.live] <= 0.0).any(axis=-1)
+        f = np.where(dead, -np.inf,
+                     self.growth(np.where(dead[..., None], 1.0, a)))
+        return (float(f) if f.ndim == 0 else f), self.state_factors(a)
 
 
 def _pattern_search(xs0, prog, h0=0.25, h_min=1e-7):
     """Best-improvement search over per-state simplex moves.
 
-    Moves shift mass h from coordinate j to i within one state, or
-    within every state at once.  The coordinated moves matter: growth
-    factors are minima over predecessor states, so single-state moves
-    can stall on the ridge where two predecessors tie.  A move is
-    feasible when every state it touches holds at least h of asset j.
-    Each sweep takes the first of the best feasible moves (ordered by
-    scope, then i, then j) if it gains more than 1e-15, and halves h
+    A move shifts mass h from coordinate j to i within one state whose
+    transitions carry weight (``prog.movable``; moving another changes no
+    value), and is feasible when that state holds at least h of asset
+    j.  Each sweep takes the first of the best feasible moves (ordered
+    by state, then i, then j) if it gains more than 1e-15, and halves h
     otherwise; the search ends when h falls below ``h_min``.
 
     ``xs0`` is one ``(k, n)`` table, giving ``(table, float)``, or a
@@ -703,16 +752,16 @@ def _pattern_search(xs0, prog, h0=0.25, h_min=1e-7):
     xs = np.array(xs0, dtype=float, ndmin=3)
     S, k, n = xs.shape
     f_cur = _search_values(prog, xs)
-    scopes = [[s] for s in range(k)] + ([list(range(k))] if k > 1 else [])
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    delta = np.zeros((len(scopes) * len(pairs), k, n))  # unit moves
-    for m, (scope, (i, j)) in enumerate(product(scopes, pairs)):
-        delta[m, scope, i] = 1.0
-        delta[m, scope, j] = -1.0
+    moves = [(s, i, j) for s in np.flatnonzero(prog.movable)
+             for i in range(n) for j in range(n) if i != j]
+    delta = np.zeros((len(moves), k, n))  # unit moves
+    for m, (s, i, j) in enumerate(moves):
+        delta[m, s, i] = 1.0
+        delta[m, s, j] = -1.0
     # source[c, m]: move m takes mass from cell c = (state, asset)
     source = (delta < 0.0).reshape(len(delta), k * n).T
     h = np.full(S, float(h0))
-    live = np.flatnonzero(h >= h_min) if pairs else np.arange(0)
+    live = np.flatnonzero(h >= h_min) if moves else np.arange(0)
     while live.size:
         hl = h[live, None, None]
         short = (xs[live] < hl - 1e-15).reshape(live.size, k * n)
@@ -744,20 +793,109 @@ def _search_values(prog, xs):
                            for i in range(0, len(xs), size)])
 
 
+def _polish(xs, prog):
+    """Newton steps from a searched table ``xs`` on the smooth piece of
+    the objective it lies on.
+
+    A search that compares values stops about 1e-8 off the optimum in
+    the proportions (gains of h^2 fall below rounding), and so off
+    support in the prices.  Each transition's factor is ``C_r x(u) / D_r
+    x(v)`` for its binding facet row r; with those rows fixed the
+    objective is smooth, and a step solves its Newton system on the
+    coordinates above 1e-6 of the states in ``prog.movable`` (the
+    others held at 0), each state summing to 1; a coordinate the step
+    would make negative is held at 0 too and the system solved again.
+    A step is kept when the value does not fall, so the table returned
+    is never worse than ``xs`` by more than rounding; at most 10 are
+    taken.
+    """
+    k, n = xs.shape
+    movable = prog.movable
+    live = [(w, prog.cones[t].facets, prog.src[t], prog.dest[t])
+            for w, t in zip(prog.weight, np.flatnonzero(prog.live))]
+
+    def binding(x):
+        """The binding facet row of each live transition at ``x``."""
+        rows = []
+        for _, (C, D), u, v in live:
+            load = D @ x[v]
+            rows.append(int(np.argmin(np.divide(
+                C @ x[u], load, out=np.full(load.shape, np.inf),
+                where=load > 0.0))))
+        return rows
+
+    def newton_step(g, H, free):
+        """The Newton table on the coordinates ``free``, the other
+        coordinates of movable states at 0."""
+        idx = np.flatnonzero(free)
+        # one sum per state (a state left without coordinates makes K
+        # singular)
+        A = (idx // n == np.flatnonzero(movable)[:, None]).astype(float)
+        m = idx.size
+        K = np.zeros((m + len(A), m + len(A)))
+        K[:m, :m] = H[np.ix_(idx, idx)]
+        K[:m, m:], K[m:, :m] = A.T, A
+        trial = np.where(movable[:, None] & ~free.reshape(k, n), 0.0, xs)
+        rhs = np.concatenate([-g[idx], 1.0 - A @ trial.ravel()[idx]])
+        trial.ravel()[idx] += np.linalg.solve(K, rhs)[:m]
+        return trial
+
+    f = prog.value(xs)[0]
+    for _ in range(10):
+        g, H = np.zeros((k, n)), np.zeros((k, n, k, n))
+        for (w, (C, D), u, v), r in zip(live, binding(xs)):
+            c, d = C[r], D[r]
+            g[u] += w * c / (c @ xs[u])
+            g[v] -= w * d / (d @ xs[v])
+            H[u, :, u] -= w * np.outer(c, c) / (c @ xs[u]) ** 2
+            H[v, :, v] += w * np.outer(d, d) / (d @ xs[v]) ** 2
+        H = H.reshape(k * n, k * n)
+        # a relative ridge keeps flat directions (a linear objective on a
+        # face) finite: they run into a bound, and a coordinate the step
+        # drives negative is held at 0 for the next solve
+        H -= 1e-12 * np.abs(H).max() * np.eye(k * n)
+        free = (movable[:, None] & (xs > 1e-6)).ravel()
+        try:
+            while True:
+                trial = newton_step(g.ravel(), H, free)
+                neg = (trial < 0.0).ravel()
+                if not neg.any():
+                    break
+                free &= ~neg
+        except np.linalg.LinAlgError:
+            break
+        f_trial = prog.value(trial)[0]
+        if f_trial < f - 1e-15:
+            break
+        done = np.abs(trial - xs).max() <= 1e-15
+        xs, f = trial, f_trial
+        if done:
+            break
+    return xs
+
+
 def solve_stationary_equilibrium(spec: MarkovSpec, cone_table,
                                  starts: int = 32,
                                  seed: int = 0) -> EquilibriumResult:
     """Balanced strategy maximizing expected log growth, with prices.
 
-    Searches per-state proportion vectors on the simplex by multistart
-    pattern search (start 0 is the uniform portfolio; the rest are seeded
-    Dirichlet draws, so results are reproducible).  All starts are drawn
-    first and searched in lockstep (:func:`_pattern_search`); each ends
-    where it would alone.  Taken in start order, a start replaces the
-    best so far when its growth is higher by more than 1e-12.  Growth
-    factors are the binding boundary scales over all positive-probability
-    predecessors.  Supporting prices and the certificate residual come
-    from the fixed-point iteration of :func:`extract_equilibrium_prices`.
+    A balanced strategy holds proportions ``x(s)`` in state s and grows
+    by ``a(u, v)``, the largest feasible scale from ``x(u)`` toward
+    ``x(v)``, across each positive-probability transition u -> v.  Its
+    growth rate ``sum_u pi(u) sum_v P(u, v) log a(u, v)`` is maximized by
+    multistart pattern search over the proportions (start 0 is the
+    uniform portfolio; the rest are seeded Dirichlet draws, so results
+    are reproducible).  All starts are drawn first and searched in
+    lockstep (:func:`_pattern_search`); each ends where it would alone.
+    Taken in start order, a start replaces the best so far when its
+    growth is higher by more than 1e-12, and :func:`_polish` refines it.
+    A transient state carries no stationary weight, so the search leaves
+    it; then each transient class, the classes it reaches first, takes
+    the proportions of its best expected one-step growth, searched and
+    polished alike with every other state held.  The strategy stores
+    ``a`` as its transition factors and, per state, the least ``a``
+    into it.  Supporting prices and the certificate residual come from
+    the fixed-point iteration of :func:`extract_equilibrium_prices`.
     """
     _require_assumptions(cone_table)
     k, n = spec.k, cone_table.n
@@ -774,112 +912,146 @@ def solve_stationary_equilibrium(spec: MarkovSpec, cone_table,
     if best[1] is None or not np.isfinite(best[0]):
         raise SolverError("no start produced a positive growth factor")
 
-    xs = best[1]
-    alpha = prog.growth_factors(xs)
+    xs = _polish(best[1], prog)
+    # the transient classes by the number of states they reach: a class
+    # comes after every class it reaches
+    R, closed = _reach(spec.P)
+    size = R.sum(axis=1)
+    for m in sorted(set(size[~closed])):
+        group = np.flatnonzero(~closed & (size == m))
+        one_step = _StationaryProgram(spec, cone_table, group)
+        xs = _polish(_pattern_search(xs, one_step)[0], one_step)
+    a = prog.factors(xs)
+    alpha = prog.state_factors(a)
+    states = spec.states
     strategy = BalancedStrategy(
-        x={spec.states[s]: xs[s] for s in range(k)},
-        alpha={spec.states[s]: float(alpha[s]) for s in range(k)},
+        x={states[s]: xs[s] for s in range(k)},
+        alpha={states[s]: float(alpha[s]) for s in range(k)},
+        factors={_transition_key(states[u], states[v]): float(a_t)
+                 for u, v, a_t in zip(prog.src, prog.dest, a)},
     )
     prices, residual = extract_equilibrium_prices(strategy, spec,
                                                   cone_table)
-    log_growth = float(pi @ np.log(alpha))
     return EquilibriumResult(
         strategy=strategy,
         prices=prices,
-        log_growth=log_growth,
+        log_growth=float(prog.growth(a)),
         certificate_residual=residual,
-        stationary={spec.states[s]: float(pi[s]) for s in range(k)},
+        stationary={states[s]: float(pi[s]) for s in range(k)},
     )
+
+
+def _reach(P):
+    """``R[u, v]``: v is reachable from u (u itself included), and
+    ``closed[u]``: u's class is closed (u reaches back every state it
+    reaches)."""
+    k = len(P)
+    R = np.linalg.matrix_power(np.eye(k, dtype=bool) | (P > 0.0), k)
+    return R, (R <= R.T).all(axis=1)
 
 
 def extract_equilibrium_prices(strategy: BalancedStrategy,
                                spec: MarkovSpec, cone_table):
     """Stationary supporting prices for a balanced strategy.
 
-    Prices ``p(s) >= 0`` support the strategy when, over every
-    positive-probability transition u -> v, ``p(v) . x(u) = 1`` (the
-    support rows) and ``G_uv[i, j] d_i <= p(v)_j`` with ``d = sum_w
-    P(v, w) p(w) / alpha(v)`` (the dual-cone rows).  The least such
-    ``p(v)`` is ``T(p)(v) = max over u of max_i G_uv[i, :] d_i``, the
-    tree dual's recursion on the chain.  ``T`` is monotone and
+    Prices are keyed by transition.  ``p(u, v) >= 0`` support the
+    strategy when, over every positive-probability transition u -> v
+    with growth factor ``a(u, v)``, ``p(u, v) . x(u) = 1`` (the support
+    rows) and ``G_uv[i, j] q(v)_i / a(u, v) <= p(u, v)_j`` (the dual-cone
+    rows), with ``q(u) = sum_v P(u, v) p(u, v)`` the expected next price
+    in state u.  Given ``q`` the least such ``p(u, v)`` is ``max_i
+    G_uv[i, :] q(v)_i / a(u, v)``, the tree dual's recursion on the
+    chain, and the iteration runs on ``q``: ``T(q)(u) = sum_v P(u, v)
+    max_i G_uv[i, :] q(v)_i / a(u, v)``.  ``T`` is monotone and
     homogeneous of degree one, and its eigenvector is the price (Gaubert
     & Gunawardena, Trans. AMS 356, 2004).  Each closed class (its states
-    reach back every state they reach) is priced alone and scaled so that
-    its own support products centre on 1, then the transient states with
-    the class prices fixed.  Policy iteration prices each: ``T`` is the
-    max of affine maps ``q = A q + b``, one per choice of ``(u, i)`` for
-    each entry ``p(v)_j``, and a round solves the top choices' map until
-    no other choice prices higher there.  It takes the least solution
-    where ``A`` has spectral radius below 1 on transient states, else one
-    inverse-iteration step toward ``A``'s eigenvector.
+    reach back every state they reach) is priced alone and scaled so
+    that the support products of its transitions centre on 1, then the
+    transient states with the class prices fixed.  Policy iteration
+    prices each: ``T`` is the max of affine maps ``q = A q + b``, one per
+    choice of ``i`` for each entry ``p(u, v)_j``, and a round solves the
+    top choices' map until no other choice prices higher there.  It
+    takes the least solution where ``A`` has spectral radius below 1 on
+    transient states, else one inverse-iteration step toward ``A``'s
+    eigenvector.
 
-    Returns ``(prices, residual)``, the largest row violation, with all
-    support products centred on 1.  On a closed class ``T(p) = lambda p``
-    forces ``lambda >= 1``, with equality and equal support products
-    exactly when some price supports the strategy there, so without
-    transient states the residual is numerically zero exactly when the
-    strategy is rapid in the stationary sense.  A transient predecessor's
-    support row can pin a class's scale apart from the class's own rows,
-    and under costly cones a state's growth factor, the least over its
-    predecessors, can leave wealth unused; no price supports either.
+    Returns ``(prices, residual)``.  ``prices`` maps each transition
+    ``"u->v"`` to ``p(u, v)`` and each state v to the elementwise max of
+    ``p(u, v)`` over the transitions into it (zero without any); a
+    transition without a factor of its own grows by ``alpha(v)``.  The
+    residual is the largest row violation, with all support products
+    centred on 1.  On a closed class ``T(q) = lambda q`` forces ``lambda
+    >= 1``, with equality and equal support products exactly when some
+    price supports the strategy there, so without transient states the
+    residual is numerically zero exactly when the strategy is rapid in
+    the stationary sense.  A transient predecessor's support row can ask
+    for a class price other than the class's own eigenvector, and
+    proportions keyed by state cannot follow the last move where a
+    transition's cone would reward that; no price found supports
+    either.
     """
-    xs = np.stack([strategy.x[s] for s in spec.states])
-    alpha = np.array([strategy.alpha[s] for s in spec.states])
+    states = spec.states
+    xs = np.stack([strategy.x[s] for s in states])
     k, n = xs.shape
     src, dest = np.nonzero(spec.P > 0.0)
-    G = np.zeros((k, k, n, n))  # G[u, v]; zero where P[u, v] == 0
-    G[src, dest] = [cone_table.resolve(spec.states[u], spec.states[v])
-                    .exchange for u, v in zip(src, dest)]
-    Q = spec.P / alpha[:, None]  # d(v) = Q[v] @ p
+    G = np.stack([cone_table.resolve(states[u], states[v]).exchange
+                  for u, v in zip(src, dest)])  # G[t] of transition t
+    a = _step_factors(strategy, states)[src, dest]
+    step = spec.P[src, dest]
+    S = np.zeros((k, len(src)))  # q = S @ p
+    S[src, np.arange(len(src))] = step
 
-    def offers(p):
-        """``G_uv[i, j] d(v)_i`` at ``[v, j, u * n + i]``; ``T(p)`` is the
-        max over the last axis (0 for states without predecessors)."""
-        O = G * (Q @ p)[None, :, :, None]
-        return O.transpose(1, 3, 0, 2).reshape(k, n, k * n)
+    def offers(q):
+        """``G_t[i, j] q(v)_i / a_t`` at ``[t, j, i]`` for transition t = u
+        -> v; ``p(u, v)`` is the max over the last axis."""
+        return (G * (q[dest] / a[:, None])[:, :, None]).transpose(0, 2, 1)
 
-    def scaled(p, rows):
-        """``p`` with the support products of the transitions ``rows``
+    def scaled(q, rows):
+        """``q`` with the support products of the transitions ``rows``
         centred on 1, and the largest violation of all rows there."""
-        support = (p[dest] * xs[src]).sum(axis=1)
+        p = offers(q).max(axis=-1)
+        support = (p * xs[src]).sum(axis=1)
         c = 2.0 / (support[rows].min() + support[rows].max())
-        return c * p, max(float(np.abs(c * support - 1.0).max()),
-                          float(c * (offers(p).max(axis=-1) - p).max()))
+        return c * q, max(float(np.abs(c * support - 1.0).max()),
+                          float(c * (offers(S @ p).max(axis=-1) - p).max()))
 
-    R = np.linalg.matrix_power(np.eye(k, dtype=bool) | (spec.P > 0.0), k)
-    closed = (R <= R.T).all(axis=1)
+    R, closed = _reach(spec.P)
 
     # policy iteration per block; A is the linear piece of T at the choices
-    v, j = np.indices((k, n))
-    p = np.ones((k, n))
+    t, j = np.indices((len(src), n))
+    q = np.ones((k, n))
     for c in sorted(set(np.where(closed, R.argmax(axis=1), k))):
         block = R[c] if c < k else ~closed  # c < k: a class's first state
-        e, transient = np.repeat(block, n), c == k
-        choice = offers(p).argmax(axis=-1)
+        e, transient, rows = np.repeat(block, n), c == k, block[src]
+        choice = offers(q).argmax(axis=-1)
         for _ in range(_PRICE_ROUNDS):
-            u, i = np.divmod(choice, n)
             A = np.zeros((k, n, k, n))
-            A[v, j, :, i] = G[u, v, i, j][..., None] * Q[:, None, :]
+            A[src[t], j, dest[t], choice] = (step / a)[t] * G[t, choice, j]
             A = A.reshape(k * n, k * n)[e]
-            B, b = A[:, e], A[:, ~e] @ p.ravel()[~e]
+            B, b = A[:, e], A[:, ~e] @ q.ravel()[~e]
             I, rho = np.eye(len(B)), np.linalg.eigvals(B).real.max()
-            if transient and rho < 1.0:  # least solution of q = B q + b
-                q = np.linalg.solve(I - B, b)
+            if transient and rho < 1.0:  # least solution of y = B y + b
+                y = np.linalg.solve(I - B, b)
             else:  # one inverse-iteration step toward B's eigenvector
-                q = np.linalg.solve((1.0 + 1e-13) * rho * I - B, p.ravel()[e])
-                q = q / q[np.abs(q).argmax()]
-            p[block] = np.maximum(q, 0.0).reshape(-1, n)
-            O = offers(p)
+                y = np.linalg.solve((1.0 + 1e-13) * rho * I - B, q.ravel()[e])
+                y = y / y[np.abs(y).argmax()]
+            q[block] = np.maximum(y, 0.0).reshape(-1, n)
+            O = offers(q)
             own = np.take_along_axis(O, choice[..., None], axis=-1)[..., 0]
-            beaten = block[:, None] & (O.max(-1) > own + 1e-13 * own.max())
+            beaten = rows[:, None] & (O.max(-1) > own + 1e-13 * own.max())
             if not beaten.any():
                 break
             choice = np.where(beaten, O.argmax(axis=-1), choice)
         if not transient:
-            p[block] = scaled(p, block[src])[0][block]
+            q[block] = scaled(q, rows)[0][block]
 
-    p, residual = scaled(p, slice(None))
-    return {spec.states[s]: p[s] for s in range(k)}, residual
+    q, residual = scaled(q, slice(None))
+    p = offers(q).max(axis=-1)
+    prices = {states[v]: p[dest == v].max(axis=0, initial=0.0)
+              for v in range(k)}
+    prices.update({_transition_key(states[u], states[v]): p_t
+                   for u, v, p_t in zip(src, dest, p)})
+    return prices, residual
 
 
 # ---------------------------------------------------------------------------

@@ -49,21 +49,30 @@ def _dominance_loop(equilibrium, spec, cone_table, competitors=20,
     for j in range(competitors):
         names.append(f"random-{j}")
         props.append(rng.dirichlet(np.ones(n), size=k))
-    entries = list(zip(names, prog.growth_factors(np.stack(props))))
-    entries.insert(n, ("dispose-10", 0.9 * np.exp(log_ax)))
+    # (k + 1, k) step factors [previous state, state], row k the first
+    # step: a competitor steps by its transition factors, a state-keyed
+    # strategy by the factor of the state it steps into
+    a = prog.factors(np.stack(props))
+    steps = np.ones((len(props), k + 1, k))
+    steps[:, prog.src, prog.dest] = a
+    steps[:, k] = prog.state_factors(a)
+    entries = list(zip(names, steps))
+    entries.insert(n, ("dispose-10", np.tile(0.9 * np.exp(log_ax),
+                                             (k + 1, 1))))
     for name in sorted(include or {}):
         extra = include[name]
-        entries.append((name, np.array([extra.alpha[s]
-                                        for s in spec.states])))
+        entries.append((name, np.tile([extra.alpha[s] for s in spec.states],
+                                      (k + 1, 1))))
 
     S = sample_paths(spec, length, paths, seed)
     lx = np.cumsum(log_ax[S], axis=1)
     growth_x = lx[:, -1] / length
 
     rows = []
-    for name, alph in entries:
-        log_ay = np.log(_require_positive(alph, f"competitor {name!r}"))
-        ly = np.cumsum(log_ay[S], axis=1)
+    for name, step in entries:
+        log_ay = np.log(_require_positive(step, f"competitor {name!r}"))
+        ly = np.cumsum(np.hstack([log_ay[k, S[:, :1]],
+                                  log_ay[S[:, :-1], S[:, 1:]]]), axis=1)
         rel = ly - lx
         growth_y = ly[:, -1] / length
         gap = growth_x - growth_y
@@ -85,8 +94,11 @@ def _dominance_loop(equilibrium, spec, cone_table, competitors=20,
             "stabilized_fraction": float(stable.mean()),
         })
 
+    # the stationary solver's log_growth: each transition's factor
+    alpha = np.array([strategy.alpha[s] for s in spec.states])
     return DominanceReport(length=length, paths=paths, seed=seed,
-                           strategy_growth=float(prog.pi @ log_ax),
+                           strategy_growth=float(prog.growth(
+                               alpha[prog.dest])),
                            rows=tuple(rows))
 
 

@@ -70,14 +70,13 @@ def _search_one(xs0, prog, h0=0.25, h_min=1e-7):
     xs = xs0.copy()
     k, n = xs.shape
     f_cur, _ = prog.value(xs)
-    scopes = [[s] for s in range(k)] + ([list(range(k))] if k > 1 else [])
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    delta = np.zeros((len(scopes) * len(pairs), k, n))
+    delta = np.zeros((k * len(pairs), k, n))
     m = 0
-    for scope in scopes:
+    for s in range(k):
         for i, j in pairs:
-            delta[m, scope, i] = 1.0
-            delta[m, scope, j] = -1.0
+            delta[m, s, i] = 1.0
+            delta[m, s, j] = -1.0
             m += 1
     source = delta < 0.0
     h = h0
@@ -118,15 +117,18 @@ def _solve_loop(spec, table, starts, seed=0):
             best = (f, xs)
     if best[1] is None or not np.isfinite(best[0]):
         raise SolverError("no start produced a positive growth factor")
-    xs = best[1]
-    alpha = prog.growth_factors(xs)
+    xs = solver._polish(best[1], prog)
+    a = prog.factors(xs)
+    alpha = prog.state_factors(a)
     strategy = BalancedStrategy(
         x={s: xs[i] for i, s in enumerate(spec.states)},
-        alpha={s: float(alpha[i]) for i, s in enumerate(spec.states)})
+        alpha={s: float(alpha[i]) for i, s in enumerate(spec.states)},
+        factors={f"{spec.states[u]}->{spec.states[v]}": float(a_t)
+                 for u, v, a_t in zip(prog.src, prog.dest, a)})
     prices, residual = extract_equilibrium_prices(strategy, spec, table)
     return EquilibriumResult(
         strategy=strategy, prices=prices,
-        log_growth=float(prog.pi @ np.log(alpha)),
+        log_growth=float(prog.growth(a)),
         certificate_residual=residual,
         stationary={s: float(w) for s, w in zip(spec.states, prog.pi)})
 

@@ -219,6 +219,12 @@ def test_dominance_competitors_keep_their_draws():
     rows = {row["competitor"]: row for row in rep.rows}
     assert list(rows) == names[:3] + ["dispose-10"] + names[3:]
     for name, prop in zip(names, props):
-        log_a = np.log(prog.growth_factors(prop))
-        expected = (np.cumsum(log_a[S], axis=1)[:, -1] / 40).mean()
+        # the first step by the state factor, then each transition's own
+        a = prog.factors(prop)
+        step = np.ones((3, 2))
+        step[prog.src, prog.dest] = a
+        step[2] = prog.state_factors(a)
+        log_a = np.log(step)
+        logs = np.hstack([log_a[2, S[:, :1]], log_a[S[:, :-1], S[:, 1:]]])
+        expected = (np.cumsum(logs, axis=1)[:, -1] / 40).mean()
         assert rows[name]["mean_growth_competitor"] == expected

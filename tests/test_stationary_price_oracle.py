@@ -1,11 +1,12 @@
 """Stationary prices against the price linear program they replaced.
 
-``solver.extract_equilibrium_prices`` finds per-state prices as the
-fixed point of the least-price map on the chain.  The dense program it
-replaced, kept below as the reference, minimizes one uniform slack over
-the support rows ``p(v) . x(u) = 1`` and the dual-cone rows
-``G_uv[i, j] d_i <= p(v)_j``, ``d = sum_w P(v, w) p(w) / alpha(v)``, of
-every positive-probability transition ``u -> v``.  Its optimum is the
+``solver.extract_equilibrium_prices`` finds one price per transition as
+the fixed point of the least-price map on the chain.  The dense program
+it replaced, kept below as the reference with prices keyed the same
+way, minimizes one uniform slack over the support rows ``p(u, v) . x(u)
+= 1`` and the dual-cone rows ``G_uv[i, j] q(v)_i / a(u, v) <= p(u,
+v)_j``, ``q(v) = sum_w P(v, w) p(v, w)``, of every positive-probability
+transition ``u -> v`` with growth factor ``a(u, v)``.  Its optimum is the
 least violation any price system achieves, so the residual reported at
 the fixed point can never fall below it; and where the program finds a
 supporting price, the fixed point must find one too.  Together these pin
@@ -84,29 +85,40 @@ def pair_chain(spec, table):
     return MarkovSpec([a + b for a, b in pairs], P), cones
 
 
+def transitions(spec):
+    """The positive-probability transitions ``(u, v)``, row-major."""
+    return [(u, v) for u in range(spec.k) for v in range(spec.k)
+            if spec.P[u, v] > 0.0]
+
+
 def price_rows(strategy, spec, table):
-    """The price program's rows ``A [p, s] <= b``, prices state-major
-    and the uniform slack ``s`` last."""
-    k, n = spec.k, table.n
+    """The price program's rows ``A [p, s] <= b``: one price ``p(u, v)``
+    per transition, in :func:`transitions` order, and the uniform slack
+    ``s`` last.  A transition grows by its own factor, else by its
+    destination's."""
+    n = table.n
     xs = np.stack([strategy.x[s] for s in spec.states])
-    alpha = np.array([strategy.alpha[s] for s in spec.states])
-    pairs = [(u, v) for u in range(k) for v in range(k)
-             if spec.P[u, v] > 0.0]
-    slack = k * n
+    pairs = transitions(spec)
+    col = {t: i * n for i, t in enumerate(pairs)}
+    factors = strategy.factors or {}
+    slack = len(pairs) * n
     A_rows, b_rows = [], []
     for u, v in pairs:
         for sign in (1.0, -1.0):
             row = np.zeros(slack + 1)
-            row[v * n:(v + 1) * n] = sign * xs[u]
+            row[col[u, v]:col[u, v] + n] = sign * xs[u]
             row[slack] = -1.0
             A_rows.append(row)
             b_rows.append(sign)
     for u, v in pairs:
-        dr = dual_cone_rows(table.resolve(spec.states[u], spec.states[v]))
+        su, sv = spec.states[u], spec.states[v]
+        a = factors.get(f"{su}->{sv}", strategy.alpha[sv])
+        dr = dual_cone_rows(table.resolve(su, sv))
         block = np.zeros((dr.n_rows, slack + 1))
-        block[:, v * n:(v + 1) * n] = dr.F_c
+        block[:, col[u, v]:col[u, v] + n] = dr.F_c
+        # q(v) = sum_w P(v, w) p(v, w), the next price expected in v
         for w in np.flatnonzero(spec.P[v] > 0.0):
-            block[:, w * n:(w + 1) * n] += spec.P[v, w] / alpha[v] * dr.F_d
+            block[:, col[v, w]:col[v, w] + n] += spec.P[v, w] / a * dr.F_d
         block[:, slack] = -1.0
         A_rows.extend(block)
         b_rows.extend([0.0] * dr.n_rows)
@@ -246,7 +258,8 @@ def case(request):
 
 def test_residual_is_the_largest_row_violation(case):
     _, prices, residual, spec, A, b = case
-    p = np.concatenate([prices[s] for s in spec.states])
+    p = np.concatenate([prices[f"{spec.states[u]}->{spec.states[v]}"]
+                        for u, v in transitions(spec)])
     assert (p >= 0.0).all()
     violation = float((A[:, :-1] @ p - b).max())
     assert residual == pytest.approx(violation, rel=1e-9, abs=1e-14)
