@@ -182,8 +182,8 @@ def _competitor_plans(plan: ContingentPlan, groups, count: int, seed: int):
     Yields the plans in the order hold-i, dispose-10, random-k as stacked
     ``(K, nodes, n)`` arrays of at most ``_CHUNK_ELEMENTS`` per stacked
     array.  ``groups`` are the tree's edge groups (``_group_edges``).
-    The random directions are drawn in plan order, one ``(nodes, n)``
-    Dirichlet draw per plan.
+    The random directions are drawn in plan order, one Dirichlet call
+    per chunk for its ``(plans, nodes, n)`` directions.
     """
     tree, n = plan.tree, plan.n
     N, ds = tree.n_nodes, tree.depth_start
@@ -204,9 +204,10 @@ def _competitor_plans(plan: ContingentPlan, groups, count: int, seed: int):
     rolled = n + max(count, 0)  # buy-and-hold plans, then the random ones
     for start in range(0, rolled, size):
         stop = min(start + size, rolled)
-        dirs = np.stack([np.broadcast_to(eye[k], (N, n)) if k < n
-                         else rng.dirichlet(alpha, size=N)
-                         for k in range(start, stop)])
+        held = min(stop, n) - min(start, n)
+        dirs = np.empty((stop - start, N, n))
+        dirs[:held] = eye[start:start + held, None]
+        dirs[held:] = rng.dirichlet(alpha, size=(stop - start - held, N))
         Y = _roll(plan.x[0], dirs, by_depth)
         if start < n <= stop:
             yield Y[:n - start]

@@ -23,8 +23,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
+import os
 import sys
 from dataclasses import dataclass
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
@@ -80,10 +84,10 @@ def _read_json(path: str):
         raise ModelError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, chunks) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         raise ModelError(f"cannot write {path}: {exc}") from exc
 
@@ -189,12 +193,97 @@ def _limit(args, cfg: ModelConfig, key: str):
     return cfg.limits[key] if val is None else val
 
 
+# A dict is rendered this many entries at a time (see _render).
+_BLOCK_ENTRIES = 2048
+_JSON = json.JSONEncoder(indent=2, sort_keys=True)
+
+
 def _emit(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Write ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte
+    for byte, to ``out`` or stdout.
+
+    Node maps, the dicts whose values are floats or equal-length float
+    lists (``portfolio``, ``prices``, ``terminal`` and a certificate's
+    per-node residuals), are rendered in blocks of entries, each block
+    by one ``float.__repr__`` pass that fills one ``%``-template of the
+    indented layout; everything else is rendered by ``json`` itself.
+    The whole document is rendered before the file is opened, so a
+    document that cannot be rendered leaves no file.
+    """
+    chunks = []
+    _render(doc, 0, chunks, set())
+    chunks.append("\n")
     if out:
-        _write_text(out, text)
+        _write_text(out, chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
+
+
+def _render(o, level: int, out: list, seen: set) -> None:
+    """Append ``o`` as ``json`` renders it at indent level ``level``.
+
+    A nonempty dict with string keys is walked here, a block of sorted
+    entries at a time; anything else goes to ``json``, its lines
+    indented to ``level``.
+    """
+    if not (isinstance(o, dict) and o and set(map(type, o)) == {str}):
+        text = _JSON.encode(o)
+        out.append(text.replace("\n", "\n" + "  " * level) if level
+                   else text)
+        return
+    if id(o) in seen:
+        raise ValueError("Circular reference detected")
+    seen.add(id(o))
+    keys = sorted(o)
+    out.append("{")
+    for lo in range(0, len(keys), _BLOCK_ENTRIES):
+        if lo:
+            out.append(",")
+        _render_block(o, keys[lo:lo + _BLOCK_ENTRIES], level, out, seen)
+    out.append("\n" + "  " * level + "}")
+    seen.discard(id(o))
+
+
+def _render_block(d: dict, keys: list, level: int, out: list,
+                  seen: set) -> None:
+    """Append the entries ``key: d[key]`` of a dict at ``level``.
+
+    When every value is a float, or every value is a float list of one
+    nonzero length, and all of them are finite, the values take one
+    ``float.__repr__`` pass and fill one ``%``-template; otherwise each
+    entry is rendered on its own.
+    """
+    values = list(map(d.__getitem__, keys))
+    width = 0  # floats per value; 0 for a bare float
+    flat = values
+    if set(map(type, values)) == {list}:
+        lengths = set(map(len, values))
+        width = lengths.pop() if len(lengths) == 1 else 0
+        flat = list(chain.from_iterable(values)) if width else []
+    # a NaN or an inf among the floats leaves their sum non-finite
+    if (flat and all(issubclass(t, float) for t in set(map(type, flat)))
+            and math.isfinite(sum(flat))):
+        stride = width + 1 if width else 2
+        args = [None] * (len(keys) * stride)
+        args[::stride] = map(_json_str, keys)
+        reprs = list(map(float.__repr__, flat))
+        for j in range(stride - 1):
+            args[j + 1::stride] = reprs[j::stride - 1]
+        out.append(_block_template(len(keys), width, level) % tuple(args))
+        return
+    pad = "\n" + "  " * (level + 1)
+    for i, (key, value) in enumerate(zip(keys, values)):
+        out.append(("," + pad if i else pad) + _json_str(key) + ": ")
+        _render(value, level + 1, out, seen)
+
+
+def _block_template(entries: int, width: int, level: int) -> str:
+    """The layout of ``entries`` dict entries at ``level`` whose values
+    are bare floats (``width`` 0) or lists of ``width`` floats."""
+    pad = "\n" + "  " * (level + 1)
+    value = "[" + ",".join([pad + "  %s"] * width) + pad + "]" if width \
+        else "%s"
+    return ",".join([pad + "%s: " + value] * entries)
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +349,13 @@ def _load_plan_doc(path: str):
     return doc, inner
 
 
+def _same_file(a: str, b: str) -> bool:
+    try:
+        return a == b or os.path.samefile(a, b)
+    except OSError:
+        return False
+
+
 def _infer_horizon(cfg: ModelConfig, doc: dict, n_nodes: int,
                    root_state) -> int:
     if "horizon" in doc:
@@ -278,7 +374,8 @@ def _infer_horizon(cfg: ModelConfig, doc: dict, n_nodes: int,
 def cmd_certify(args) -> int:
     cfg = load_model(args.model)
     plan_doc, plan_dict = _load_plan_doc(args.plan)
-    dual_doc = _read_json(args.dual)
+    dual_doc = plan_doc if _same_file(args.plan, args.dual) \
+        else _read_json(args.dual)
     dual_dict = dual_doc.get("dual", dual_doc) \
         if isinstance(dual_doc, dict) else None
     if not isinstance(dual_dict, dict) or "prices" not in dual_dict:
@@ -331,7 +428,7 @@ def cmd_simulate(args) -> int:
         return 1
     text = rep.to_csv()
     if args.out:
-        _write_text(args.out, text)
+        _write_text(args.out, [text])
         print(f"strategy_growth {rep.strategy_growth:.12f}")
         print(f"competitors {len(rep.rows)}")
     else:

@@ -105,8 +105,8 @@ class ContingentPlan:
     def to_dict(self) -> dict:
         return {
             "units": self.units,
-            "portfolio": {str(v): self.x[v].tolist()
-                          for v in range(self.tree.n_nodes)},
+            "portfolio": dict(zip(map(str, range(self.tree.n_nodes)),
+                                  self.x.tolist())),
         }
 
     @classmethod
@@ -188,12 +188,11 @@ class DualPlan:
         return out
 
     def to_dict(self) -> dict:
-        leaves = self.tree.leaves()
         return {
-            "prices": {str(v): self.prices[v].tolist()
-                       for v in range(1, self.tree.n_nodes)},
-            "terminal": {str(int(v)): self.terminal[i].tolist()
-                         for i, v in enumerate(leaves)},
+            "prices": dict(zip(map(str, range(1, self.tree.n_nodes)),
+                               self.prices[1:].tolist())),
+            "terminal": dict(zip(map(str, self.tree.leaves().tolist()),
+                                 self.terminal.tolist())),
         }
 
     @classmethod

@@ -138,8 +138,10 @@ def _assert_same_result(spec, table, starts, seed=0):
     assert got.to_dict() == _solve_loop(spec, table, starts, seed).to_dict()
 
 
-# (family, chain, n); costly cones on regime3 take two assets: with
-# three, one of 32 starts crawls for ~10^5 sweeps (about 40 s alone)
+# (family, chain, n); costly cones on regime3 take two assets here and
+# three in the seed-1 test below.  Three no longer crawl: at 32 starts
+# the solve takes about 0.1 s and the per-start loop about 0.6 s
+# (2-core x86_64)
 CASES = [(family, chain, 2 if (family, chain) == ("proportional_tc",
                                                  "regime3") else 3)
          for family in ("frictionless", "proportional_tc", "currency")
