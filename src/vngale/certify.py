@@ -28,12 +28,13 @@ import numpy as np
 
 from .cones import (
     _boundary_scale,
+    _by_depth,
     _dual_violation,
     _group_edges,
     boundary_scale,  # not called here; perfbench/tracing.py wraps both
     dual_violation,
 )
-from .plans import BalancedStrategy, ContingentPlan, DualPlan, _step_factors
+from .plans import ContingentPlan, DualPlan, _step_factors
 from .scenario import MarkovSpec, ScenarioTree, sample_paths
 from .solver import _StationaryProgram
 
@@ -108,10 +109,16 @@ class CertificateReport:
         }
 
 
-def _same_tree(t1: ScenarioTree, t2: ScenarioTree) -> bool:
-    return t1 is t2 or (t1.n_nodes == t2.n_nodes
-                        and np.array_equal(t1.parent, t2.parent)
-                        and np.array_equal(t1.state, t2.state))
+def _require_same_tree(tree: ScenarioTree, y, dual) -> None:
+    """Raise unless the plan ``y`` and ``dual`` share ``tree`` and ``n``."""
+    for t in (y.tree, dual.tree):
+        if not (t is tree or (t.n_nodes == tree.n_nodes
+                              and np.array_equal(t.parent, tree.parent)
+                              and np.array_equal(t.state, tree.state))):
+            raise ValueError("plan and dual live on different trees")
+    if dual.n != y.n:
+        raise ValueError("plan and dual disagree on dimension: "
+                         f"{y.n} vs {dual.n}")
 
 
 def _deflated_gain(ahead, prices, y, y_parent):
@@ -132,11 +139,7 @@ def supermartingale_defect(dual: DualPlan, y: ContingentPlan,
     """
     if tree is None:
         tree = y.tree
-    if not (_same_tree(tree, y.tree) and _same_tree(tree, dual.tree)):
-        raise ValueError("plan and dual live on different trees")
-    if dual.n != y.n:
-        raise ValueError("plan and dual disagree on dimension: "
-                         f"{y.n} vs {dual.n}")
+    _require_same_tree(tree, y, dual)
     gain = _deflated_gain(dual.expected_next_rows()[1:], dual.prices[1:],
                           y.x[1:], y.x[tree.parent[1:]])
     return dict(zip(range(1, tree.n_nodes), gain.tolist()))
@@ -151,15 +154,15 @@ def _roll(x0, dirs, by_depth):
     Y[:, 0] = x0
     first_bad = np.full(K, N)
     for parts in by_depth:
-        for cone, nodes, parents in parts:
-            d = dirs[:, nodes]
-            t = _boundary_scale(cone, Y[:, parents], d)
+        for g in parts:
+            d = dirs[:, g.at]
+            t = _boundary_scale(g.cone, Y[:, g.at_parent], d)
             bad = ~np.isfinite(t) | (t <= 0.0)
             if bad.any():
                 first_bad = np.minimum(first_bad,
-                                       np.where(bad, nodes, N).min(axis=1))
+                                       np.where(bad, g.nodes, N).min(axis=1))
                 t = np.where(bad, 0.0, t)  # a collapsed plan stays at 0
-            Y[:, nodes] = t[..., None] * d
+            Y[:, g.at] = t[..., None] * d
     collapsed = np.flatnonzero(first_bad < N)
     if collapsed.size:
         raise ValueError(
@@ -181,27 +184,19 @@ def _competitor_plans(plan: ContingentPlan, groups, count: int, seed: int):
 
     Yields the plans in the order hold-i, dispose-10, random-k as stacked
     ``(K, nodes, n)`` arrays of at most ``_CHUNK_ELEMENTS`` per stacked
-    array.  ``groups`` are the tree's edge groups (``_group_edges``).
-    The random directions are drawn in plan order, one Dirichlet call
-    per chunk for its ``(plans, nodes, n)`` directions.
+    array, rolling the edge groups ``groups`` out in their per-depth
+    pieces (``cones._group_edges``, ``cones._by_depth``).  The random
+    directions are drawn in plan order, one Dirichlet call per chunk.
     """
-    tree, n = plan.tree, plan.n
-    N, ds = tree.n_nodes, tree.depth_start
-    by_depth = []
-    for d in range(1, tree.horizon + 1):
-        parts = []
-        for cone, nodes, parents in groups:
-            i, j = np.searchsorted(nodes, (ds[d], ds[d + 1]))
-            if i < j:
-                parts.append((cone, nodes[i:j], parents[i:j]))
-        by_depth.append(parts)
-    rows = max(cone.facets[0].shape[0] for cone, _, _ in groups)
-    per_plan = max(N * n, int(np.diff(ds).max()) * rows)
+    tree, n, N = plan.tree, plan.n, plan.tree.n_nodes
+    by_depth = _by_depth(tree, groups)
+    rows = max(g.Fa.shape[0] for g in groups)
+    per_plan = max(N * n, int(np.diff(tree.depth_start).max()) * rows)
     size = max(1, _CHUNK_ELEMENTS // per_plan)
 
     eye, alpha = np.eye(n), np.ones(n)
     rng = np.random.default_rng(seed)
-    rolled = n + max(count, 0)  # buy-and-hold plans, then the random ones
+    rolled = n + count  # buy-and-hold plans, then the random ones
     for start in range(0, rolled, size):
         stop = min(start + size, rolled)
         held = min(stop, n) - min(start, n)
@@ -260,15 +255,13 @@ def check_rapid(plan: ContingentPlan, dual: DualPlan, cone_table,
     The plan itself is assumed self-financing (see
     :func:`vngale.plans.is_self_financing`).
     """
+    if competitors < 0:
+        raise ValueError(f"competitors must be >= 0, got {competitors}")
     if dual is None:
         raise ValueError("no dual plan given; solve with extract_dual=True "
                          "or construct one explicitly")
     tree = plan.tree
-    if not _same_tree(tree, dual.tree):
-        raise ValueError("plan and dual live on different trees")
-    if dual.n != plan.n:
-        raise ValueError("plan and dual disagree on dimension: "
-                         f"{plan.n} vs {dual.n}")
+    _require_same_tree(tree, plan, dual)
 
     N = tree.n_nodes
     prices, ahead = dual.prices, dual.expected_next_rows()
@@ -277,8 +270,8 @@ def check_rapid(plan: ContingentPlan, dual: DualPlan, cone_table,
                      - 1.0)
     groups = _group_edges(tree, cone_table)
     violation = np.empty(N)
-    for cone, nodes, _ in groups:
-        violation[nodes] = _dual_violation(cone, prices[nodes], ahead[nodes])
+    for g in groups:
+        violation[g.at] = _dual_violation(g.cone, prices[g.at], ahead[g.at])
     violation = violation[1:]
 
     defect = np.full(N - 1, -np.inf)
@@ -391,6 +384,8 @@ def asymptotic_dominance(equilibrium, spec: MarkovSpec, cone_table,
     """
     if length < 1 or paths < 1:
         raise ValueError("length and paths must be >= 1")
+    if competitors < 0:
+        raise ValueError(f"competitors must be >= 0, got {competitors}")
     strategy = getattr(equilibrium, "strategy", equilibrium)
     k, n, states = spec.k, cone_table.n, spec.states
 

@@ -59,6 +59,8 @@ _DEFAULT_LIMITS = {
     "seed": 0,
     "starts": 32,
 }
+# the least valid count, from a flag or from the model's limits
+_LEAST_COUNTS = {"competitors": 0, "starts": 1}
 
 _OBJECTIVES = ("wealth", "liquidation")
 
@@ -125,17 +127,14 @@ def load_model(path: str) -> ModelConfig:
                     f"{path}: cone key {u}->{v} references unknown "
                     f"state {side!r}"
                 )
-    for u in range(markov.k):
-        for v in range(markov.k):
-            if markov.P[u, v] > 0.0:
-                try:
-                    cones.resolve(markov.states[u], markov.states[v])
-                except KeyError:
-                    raise ModelError(
-                        f"{path}: transition {markov.states[u]}->"
-                        f"{markov.states[v]} has positive probability "
-                        "but no cone"
-                    ) from None
+    for u, v in zip(*np.nonzero(markov.P > 0.0)):
+        try:
+            cones.resolve(markov.states[u], markov.states[v])
+        except KeyError:
+            raise ModelError(
+                f"{path}: transition {markov.states[u]}->"
+                f"{markov.states[v]} has positive probability but no cone"
+            ) from None
 
     conv = doc.get("conventions", {})
     if not isinstance(conv, dict):
@@ -188,9 +187,12 @@ def _build_model_tree(cfg: ModelConfig, horizon: int, root_state):
 
 
 def _limit(args, cfg: ModelConfig, key: str):
-    """The command-line value of ``key``, else the model file's limit."""
+    """The flag's value of ``key``, else the model's; a bad count raises."""
     val = getattr(args, key)
-    return cfg.limits[key] if val is None else val
+    val = cfg.limits[key] if val is None else val
+    if val < _LEAST_COUNTS.get(key, -math.inf):
+        raise ModelError(f"{key} must be >= {_LEAST_COUNTS[key]}, got {val}")
+    return val
 
 
 # A dict is rendered this many entries at a time (see _render).
@@ -386,14 +388,12 @@ def cmd_certify(args) -> int:
     horizon = _infer_horizon(cfg, plan_doc, len(plan_dict["portfolio"]),
                              root_state)
     tree = _build_model_tree(cfg, horizon, root_state)
+    limits = {key: _limit(args, cfg, key)
+              for key in ("tol", "defect_tol", "competitors", "seed")}
     try:
         plan = ContingentPlan.from_dict(tree, plan_dict)
         dual = DualPlan.from_dict(tree, dual_dict)
-        report = check_rapid(plan, dual, cfg.cones,
-                             tol=_limit(args, cfg, "tol"),
-                             defect_tol=_limit(args, cfg, "defect_tol"),
-                             competitors=_limit(args, cfg, "competitors"),
-                             seed=_limit(args, cfg, "seed"))
+        report = check_rapid(plan, dual, cfg.cones, **limits)
     except (KeyError, ValueError) as exc:
         raise ModelError(f"inconsistent plan/dual/model files: {exc}") \
             from exc
@@ -416,13 +416,11 @@ def cmd_simulate(args) -> int:
         raise ModelError(
             f"{args.equilibrium}: not an equilibrium file: {exc}"
         ) from exc
+    limits = {key: _limit(args, cfg, key) for key in ("competitors", "seed")}
     try:
-        rep = asymptotic_dominance(
-            eq, cfg.markov, cfg.cones,
-            competitors=_limit(args, cfg, "competitors"),
-            length=args.length, paths=args.paths,
-            seed=_limit(args, cfg, "seed"),
-        )
+        rep = asymptotic_dominance(eq, cfg.markov, cfg.cones,
+                                   length=args.length, paths=args.paths,
+                                   **limits)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

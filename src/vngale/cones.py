@@ -50,6 +50,7 @@ free disposal.  Membership tests use a relative tolerance scaled by
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -122,15 +123,11 @@ class ConeSpec:
 
     @classmethod
     def proportional_tc(cls, returns, lambda_plus, lambda_minus) -> "ConeSpec":
-        r = _readonly(returns)
+        r = cls.frictionless(returns).returns
         lp_ = _readonly(np.broadcast_to(np.asarray(lambda_plus, dtype=float),
                                         r.shape))
         lm = _readonly(np.broadcast_to(np.asarray(lambda_minus, dtype=float),
                                        r.shape))
-        if r.ndim != 1 or r.size == 0:
-            raise ValueError("returns must be a nonempty vector")
-        if not np.isfinite(r).all() or (r <= 0).any():
-            raise ValueError("returns must be finite and strictly positive")
         if (lp_ < 0).any() or not np.isfinite(lp_).all():
             raise ValueError("lambda_plus must be finite and >= 0")
         if not ((lm >= 0) & (lm <= 1)).all():
@@ -558,12 +555,60 @@ class ConeTable:
         return cls({k: ConeSpec.from_dict(v) for k, v in d.items()})
 
 
+def _as_slice(ids):
+    """Ascending ids as a basic slice when evenly spaced, else the ids:
+    indexing with it reads a view and writes in place, with no gather
+    or scatter."""
+    step = int(ids[1] - ids[0]) if ids.size > 1 else 1
+    if step > 0 and (np.diff(ids) == step).all():
+        return slice(int(ids[0]), int(ids[-1]) + 1, step)
+    return ids
+
+
+def _run(index, ids, i, j):
+    """An index of ``ids[i:j]`` given ``index = _as_slice(ids)``: a run
+    of a slice is a slice, found without a check."""
+    if isinstance(index, slice):
+        r = range(index.start, index.stop, index.step)[i:j]
+        return slice(r.start, r.stop, r.step)
+    return _as_slice(ids[i:j])
+
+
+class _EdgeGroup:
+    """Tree edges sharing one cone, the layout of the barrier rows, the
+    certificate and the self-financing check: child ids ``nodes``
+    (ascending) and ``parents``, indexed by ``at`` and ``at_parent``
+    (slices where evenly spaced, as on a dense chain), and the facet
+    rows ``Fa a + Fv b <= 0`` (``-C``, ``D``) with their flattened outer
+    products, so Hessian blocks are one GEMM with the row weights."""
+
+    def __init__(self, cone, nodes, parents):
+        self.cone, self.nodes, self.parents = cone, nodes, parents
+        self.at, self.at_parent = _as_slice(nodes), _as_slice(parents)
+        C, D = cone.facets
+        self.Fa, self.Fv = -C, D
+        r = C.shape[0]
+        self.FaFa = (self.Fa[:, :, None] * self.Fa[:, None, :]).reshape(r, -1)
+        self.FvFv = (self.Fv[:, :, None] * self.Fv[:, None, :]).reshape(r, -1)
+        self.FvFa = (self.Fv[:, :, None] * self.Fa[:, None, :]).reshape(r, -1)
+
+    def _piece(self, i, j):
+        """The group's edges ``i:j``, sharing its cone and tables."""
+        piece = copy.copy(self)
+        piece.nodes, piece.parents = self.nodes[i:j], self.parents[i:j]
+        piece.at = _run(self.at, self.nodes, i, j)
+        piece.at_parent = _run(self.at_parent, self.parents, i, j)
+        return piece
+
+    def residual_rows(self, Y):
+        return Y[self.at_parent] @ self.Fa.T + Y[self.at] @ self.Fv.T
+
+
 def _group_edges(tree, cone_table):
-    """Tree edges grouped by cone: a list of ``(cone, nodes, parents)``
-    with the child ids ``nodes`` ascending, in order of each cone's
-    first edge.  The table is resolved once per distinct (parent state,
-    state) pair, so a transition without a cone raises ``KeyError`` at
-    its first edge."""
+    """Tree edges grouped by cone: a list of :class:`_EdgeGroup`, in
+    order of each cone's first edge.  The table is resolved once per
+    distinct (parent state, state) pair, so a transition without a cone
+    raises ``KeyError`` at its first edge."""
     k = tree.spec.k
     labels = ("*",) + tree.spec.states  # state -1 (a free root) is '*'
     code = (tree.state[tree.parent[1:]] + 1) * k + tree.state[1:]
@@ -574,8 +619,21 @@ def _group_edges(tree, cone_table):
     groups = []
     for cone, codes in by_cone.values():
         nodes = np.flatnonzero(np.isin(code, codes)) + 1
-        groups.append((cone, nodes, tree.parent[nodes]))
+        groups.append(_EdgeGroup(cone, nodes, tree.parent[nodes]))
     return groups
+
+
+def _by_depth(tree, groups):
+    """The edge groups cut by depth: ``parts[d - 1]`` lists, in group
+    order, the edges of each group into depth ``d`` (one run of its
+    ids, :meth:`_EdgeGroup._piece`)."""
+    parts = [[] for _ in range(tree.horizon)]
+    for g in groups:
+        cut = np.searchsorted(g.nodes, tree.depth_start[1:]).tolist()
+        for d, (i, j) in enumerate(zip(cut, cut[1:])):
+            if i < j:
+                parts[d].append(g._piece(i, j))
+    return parts
 
 
 def _as_cone_items(cone_table):

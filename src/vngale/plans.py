@@ -36,22 +36,25 @@ def _plan_array(tree: ScenarioTree, data, n: int | None = None,
 
     ``n`` defaults to the length of the vectors given.  The rows of every
     node of depth >= ``start_depth`` must be given, finite and
-    nonnegative.  A map covers exactly those nodes: any other id
-    (negative, past the last node, or of a shallower node) raises
-    ``ValueError``, and the shallower rows are zero.  An array must have
+    nonnegative.  A map, keyed by ids or their strings, covers exactly
+    those nodes: the first other id (negative, past the last node, or
+    of a shallower node) raises ``ValueError`` before one assignment
+    fills the rows, and the shallower rows are zero.  An array must have
     one row per node; its shallower rows are kept unchecked.
     """
     lo = int(tree.depth_start[start_depth])
     if isinstance(data, dict):
         if n is None:
             n = np.asarray(next(iter(data.values()))).size
+        ids = list(map(int, data))
+        if not lo <= min(ids) <= max(ids) < tree.n_nodes:
+            bad = next(v for v in ids if not lo <= v < tree.n_nodes)
+            raise ValueError(
+                f"node id {bad} outside {lo}..{tree.n_nodes - 1}")
         arr = np.full((tree.n_nodes, n), np.nan)
         arr[:lo] = 0.0
-        for v, vec in data.items():
-            if not lo <= int(v) < tree.n_nodes:
-                raise ValueError(
-                    f"node id {v} outside {lo}..{tree.n_nodes - 1}")
-            arr[int(v)] = np.asarray(vec, dtype=float)
+        arr[ids] = np.array(list(data.values()), dtype=float).reshape(
+            len(ids), -1)
     else:
         arr = np.array(data, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != tree.n_nodes \
@@ -111,8 +114,7 @@ class ContingentPlan:
 
     @classmethod
     def from_dict(cls, tree: ScenarioTree, d: dict) -> "ContingentPlan":
-        port = {int(k): v for k, v in d["portfolio"].items()}
-        return cls(tree, port, units=d.get("units", "market"))
+        return cls(tree, d["portfolio"], units=d.get("units", "market"))
 
 
 @dataclass(frozen=True)
@@ -197,9 +199,7 @@ class DualPlan:
 
     @classmethod
     def from_dict(cls, tree: ScenarioTree, d: dict) -> "DualPlan":
-        prices = {int(k): v for k, v in d["prices"].items()}
-        term = {int(k): v for k, v in d["terminal"].items()}
-        return cls(tree, prices, term)
+        return cls(tree, d["prices"], d["terminal"])
 
 
 def _transition_key(u: str, v: str) -> str:
@@ -302,8 +302,8 @@ def is_self_financing(plan: ContingentPlan, cone_table,
     """
     X = plan.x
     res = np.empty(plan.tree.n_nodes)
-    for cone, nodes, parents in _group_edges(plan.tree, cone_table):
-        res[nodes] = _membership_residual(cone, X[parents], X[nodes])
+    for g in _group_edges(plan.tree, cone_table):
+        res[g.at] = _membership_residual(g.cone, X[g.at_parent], X[g.at])
     violations = [(int(v), float(res[v]))
                   for v in np.flatnonzero(res[1:] > tol) + 1]
     return (len(violations) == 0), violations

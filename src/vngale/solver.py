@@ -20,8 +20,9 @@ system is assembled with one matrix product per group of edges sharing a
 cone, and eliminated leaf-to-root over the breadth-first node ids: a
 depth is one id slice, each node's block couples only its parent, and
 what a node receives from its children is a sum over their consecutive
-ids.  No step gathers or scatters by node id on a dense chain: a group's
-children and parents are evenly spaced ids, indexed as basic slices, and
+ids.  The edge groups and their per-depth pieces live in ``cones``, one
+layout with the certificate (``_group_edges``, ``_by_depth``); on a
+dense chain they are evenly spaced ids, indexed as basic slices, and
 where every node of a depth has c children a child sum adds the c slots
 of a reshape view in child order (``np.add.reduceat`` otherwise).
 A depth's n x n blocks are solved by one LAPACK call each while
@@ -74,8 +75,8 @@ import numpy as np
 from .cones import (
     CURRENCY,
     FRICTIONLESS,
-    ConeSpec,
     _boundary_scale,
+    _by_depth,
     _group_edges,
     _least_price,
     boundary_scale,  # not called here; perfbench/tracing.py wraps it
@@ -198,54 +199,7 @@ class EquilibriumResult:
 
 
 # ---------------------------------------------------------------------------
-# Edge constraint compilation
-
-
-def _edge_matrices(cone: ConeSpec):
-    """Linear rows ``Fa.a + Fv.b <= 0`` describing cone membership: the
-    facet rows, ``(-C, D)``."""
-    C, D = cone.facets
-    return -C, D
-
-
-def _as_slice(ids):
-    """Ascending ids as a basic slice when evenly spaced, else the ids:
-    indexing with it reads a view and writes in place, with no gather
-    or scatter."""
-    step = int(ids[1] - ids[0]) if ids.size > 1 else 1
-    if step > 0 and (np.diff(ids) == step).all():
-        return slice(int(ids[0]), int(ids[-1]) + 1, step)
-    return ids
-
-
-class _EdgeGroup:
-    """Edges sharing one cone (child ids ``nodes``, ascending),
-    vectorized together.  ``at`` and ``at_parent`` index the children
-    and parents, as slices where they are evenly spaced (on a dense
-    chain the edges into one state are every c-th id).  Each row's
-    flattened outer products are tabulated once, so Hessian blocks are
-    one GEMM with the row weights.
-    """
-
-    def __init__(self, cone, nodes, parents):
-        self.cone = cone
-        self.nodes = np.asarray(nodes, dtype=int)
-        self.parents = np.asarray(parents, dtype=int)
-        self.at = _as_slice(self.nodes)
-        self.at_parent = _as_slice(self.parents)
-        self.Fa, self.Fv = _edge_matrices(cone)
-        r = self.Fa.shape[0]
-        self.FaFa = (self.Fa[:, :, None] * self.Fa[:, None, :]).reshape(r, -1)
-        self.FvFv = (self.Fv[:, :, None] * self.Fv[:, None, :]).reshape(r, -1)
-        self.FvFa = (self.Fv[:, :, None] * self.Fa[:, None, :]).reshape(r, -1)
-
-    def residual_rows(self, Y):
-        return Y[self.at_parent] @ self.Fa.T + Y[self.at] @ self.Fv.T
-
-
-def _edge_groups(tree: ScenarioTree, cone_table):
-    """:func:`vngale.cones._group_edges` with the GEMM tables built."""
-    return [_EdgeGroup(*g) for g in _group_edges(tree, cone_table)]
+# Barrier solve
 
 
 def _interior_start(tree, groups, x0):
@@ -260,26 +214,19 @@ def _interior_start(tree, groups, x0):
     n = x0.size
     Y = np.empty((tree.n_nodes, n))
     Y[0] = x0
-    for d in range(1, tree.horizon + 1):
+    for d, parts in enumerate(_by_depth(tree, groups), 1):
         lo, hi = tree.depth_start[d], tree.depth_start[d + 1]
         k = (tree.horizon - d + 1) * (n + 1)
         keep = k / (k + 1)
-        t = np.empty(hi - lo)
-        for g in groups:
-            i, j = np.searchsorted(g.nodes, (lo, hi))
-            a = Y[g.parents[i:j]]
-            t[g.nodes[i:j] - lo] = keep * _boundary_scale(g.cone, a,
-                                                          np.ones_like(a))
-        bad = np.flatnonzero(t <= 0)
+        for g in parts:
+            a = Y[g.at_parent]
+            t = _boundary_scale(g.cone, a, np.ones_like(a))
+            Y[g.at] = keep * t[:, None]
+        bad = np.flatnonzero(Y[lo:hi, 0] <= 0)
         if bad.size:
             raise SolverError("cannot construct interior start "
                               f"(zero growth at node {lo + bad[0]})")
-        Y[lo:hi] = t[:, None]
     return Y
-
-
-# ---------------------------------------------------------------------------
-# Barrier solve
 
 
 class _TreeProgram:
@@ -288,16 +235,16 @@ class _TreeProgram:
     def __init__(self, tree, cone_table, x0, objective):
         self.tree = tree
         self.n = cone_table.n
-        self.groups = _edge_groups(tree, cone_table)
+        self.groups = _group_edges(tree, cone_table)
+        self.by_depth = _by_depth(tree, self.groups)
         # non-leaf nodes are the ids below the last depth
         self.n_inner = int(tree.depth_start[tree.horizon])
         self.leaves = slice(self.n_inner, tree.n_nodes)
         self.leaf_prob = tree.abs_prob[self.leaves]
-        W = np.zeros((tree.n_nodes - self.n_inner, self.n))
-        for g in self.groups:
-            at_leaf = g.nodes[g.nodes >= self.n_inner]
-            W[at_leaf - self.n_inner] = wealth_weights(g.cone, objective)
-        self.leaf_w = W
+        W = np.empty((tree.n_nodes, self.n))
+        for g in self.by_depth[-1]:
+            W[g.at] = wealth_weights(g.cone, objective)
+        self.leaf_w = W = W[self.leaves]
         self.leaf_ww = W[:, :, None] * W[:, None, :]
 
     def objective_value(self, X):
@@ -629,17 +576,16 @@ def _extract_tree_dual(tree, X, prog):
     term = prog.leaf_w / (prog.leaf_w * X[prog.leaves]).sum(axis=1)[:, None]
     prices = np.zeros((tree.n_nodes, prog.n))
     ds = tree.depth_start
-    e = term
+    e = np.empty_like(prices)
+    e[prog.leaves] = term
     for d in range(tree.horizon, 0, -1):
         lo, hi = ds[d], ds[d + 1]
         if d < tree.horizon:
             kids = slice(hi, ds[d + 2])
-            e = _child_sums(tree, tree.cond_prob[kids, None] * prices[kids],
-                            lo, hi)
-        for g in prog.groups:
-            i, j = np.searchsorted(g.nodes, (lo, hi))
-            nodes = g.nodes[i:j]
-            prices[nodes] = _least_price(g.cone.exchange, e[nodes - lo])
+            e[lo:hi] = _child_sums(tree, tree.cond_prob[kids, None]
+                                   * prices[kids], lo, hi)
+        for g in prog.by_depth[d - 1]:
+            prices[g.at] = _least_price(g.cone.exchange, e[g.at])
     support = (prices[1:] * X[tree.parent[1:]]).sum(axis=1)
     return DualPlan(tree, prices, term), float(np.abs(support - 1.0).max())
 
@@ -719,14 +665,14 @@ class _StationaryProgram:
         return total
 
     def value(self, xs):
-        """:meth:`growth` and the state factors, for one table (a float)
-        or a stack of them (an ``(M,)`` array); ``-inf`` where a live
-        transition has no growth."""
+        """:meth:`growth` of one table (a float) or a stack of them (an
+        ``(M,)`` array); ``-inf`` where a live transition has no
+        growth."""
         a = self.factors(xs)
         dead = (a[..., self.live] <= 0.0).any(axis=-1)
         f = np.where(dead, -np.inf,
                      self.growth(np.where(dead[..., None], 1.0, a)))
-        return (float(f) if f.ndim == 0 else f), self.state_factors(a)
+        return float(f) if f.ndim == 0 else f
 
 
 def _pattern_search(xs0, prog, h0=0.25, h_min=1e-7):
@@ -789,7 +735,7 @@ def _search_values(prog, xs):
     """``prog.value`` of a stack of tables, in chunks of at most
     ``_SEARCH_CHUNK_ELEMENTS`` (tables x facet rows)."""
     size = max(1, _SEARCH_CHUNK_ELEMENTS // prog.rows)
-    return np.concatenate([prog.value(xs[i:i + size])[0]
+    return np.concatenate([prog.value(xs[i:i + size])
                            for i in range(0, len(xs), size)])
 
 
@@ -840,7 +786,7 @@ def _polish(xs, prog):
         trial.ravel()[idx] += np.linalg.solve(K, rhs)[:m]
         return trial
 
-    f = prog.value(xs)[0]
+    f = prog.value(xs)
     for _ in range(10):
         g, H = np.zeros((k, n)), np.zeros((k, n, k, n))
         for (w, (C, D), u, v), r in zip(live, binding(xs)):
@@ -864,7 +810,7 @@ def _polish(xs, prog):
                 free &= ~neg
         except np.linalg.LinAlgError:
             break
-        f_trial = prog.value(trial)[0]
+        f_trial = prog.value(trial)
         if f_trial < f - 1e-15:
             break
         done = np.abs(trial - xs).max() <= 1e-15
@@ -897,6 +843,8 @@ def solve_stationary_equilibrium(spec: MarkovSpec, cone_table,
     into it.  Supporting prices and the certificate residual come from
     the fixed-point iteration of :func:`extract_equilibrium_prices`.
     """
+    if starts < 1:
+        raise ValueError(f"starts must be >= 1, got {starts}")
     _require_assumptions(cone_table)
     k, n = spec.k, cone_table.n
     prog = _StationaryProgram(spec, cone_table)

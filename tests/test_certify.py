@@ -271,6 +271,16 @@ def test_dominance_rejects_bad_sizes():
         asymptotic_dominance(eq, spec, table, length=10, paths=0)
 
 
+def test_dominance_rejects_a_negative_competitor_count():
+    # a negative count used to run no random competitor at all
+    spec = coin_spec()
+    table = coin_table()
+    eq = solve_stationary_equilibrium(spec, table, starts=2)
+    with pytest.raises(ValueError, match="competitors must be >= 0, got -3"):
+        asymptotic_dominance(eq, spec, table, competitors=-3, length=10,
+                             paths=10)
+
+
 def test_dominance_accepts_bare_strategy():
     spec = coin_spec()
     table = coin_table()

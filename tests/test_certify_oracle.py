@@ -20,7 +20,14 @@ import pytest
 
 from vngale import certify
 from vngale.certify import check_rapid, supermartingale_defect
-from vngale.cones import ConeSpec, ConeTable, boundary_scale, dual_violation
+from vngale.cones import (
+    ConeSpec,
+    ConeTable,
+    _by_depth,
+    _group_edges,
+    boundary_scale,
+    dual_violation,
+)
 from vngale.plans import ContingentPlan, DualPlan
 from vngale.scenario import MarkovSpec, build_tree
 from vngale.solver import solve_tree_log_optimal
@@ -290,6 +297,15 @@ def test_zero_prices_match_the_loop():
 def test_competitor_counts_match_the_loop(competitors, seed):
     name, tree, table = CASES[4]
     res = solved(name, tree, table)
+    if competitors < 0:
+        # the loop rolls no random plan for a negative count and reports
+        # n + 1 + count competitors, fewer than it rolled; check_rapid
+        # refuses the count
+        with pytest.raises(ValueError, match="competitors must be >= 0, "
+                                             f"got {competitors}"):
+            check_rapid(res.plan, res.dual, table, competitors=competitors,
+                        seed=seed)
+        return
     assert_same_report(res.plan, res.dual, table, competitors=competitors,
                        seed=seed)
 
@@ -375,17 +391,11 @@ def test_collapse_names_the_first_competitor_not_the_first_node():
     # the error names plan 0's node, as rolling them in order would
     plan, _, table = collapsing_case([1.0, 0.0])
     tree = plan.tree
-    groups = certify._group_edges(tree, table)
+    by_depth = _by_depth(tree, _group_edges(tree, table))
     dirs = np.zeros((2, tree.n_nodes, 2))
     dirs[0, :, 0] = 1.0
     dirs[0, 6] = [0.0, 1.0]  # D after D, holding asset 0 only
     dirs[1, :, 1] = 1.0
-    by_depth = []
-    for d in range(1, tree.horizon + 1):
-        lo, hi = tree.depth_start[d], tree.depth_start[d + 1]
-        by_depth.append([(c, nodes[(nodes >= lo) & (nodes < hi)],
-                          parents[(nodes >= lo) & (nodes < hi)])
-                         for c, nodes, parents in groups])
     with pytest.raises(ValueError, match="collapsed at node 6;"):
         certify._roll(plan.x[0], dirs, by_depth)
     with pytest.raises(ValueError, match="collapsed at node 2;"):

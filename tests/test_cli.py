@@ -387,6 +387,54 @@ class TestSimulate:
         assert rc == 2
 
 
+class TestBadCounts:
+    """A competitor count below 0 or a start count below 1, from a flag
+    or from the model's limits, is a usage error (exit 2) that writes
+    no file."""
+
+    def check(self, argv, out, capsys, message):
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_flags(self, coin_model, tmp_path, capsys):
+        plan = tmp_path / "plan.json"
+        assert main(["solve-tree", "--model", coin_model, "--horizon", "2",
+                     "--x0", "0.5,0.5", "--out", str(plan)]) == 0
+        eq = tmp_path / "eq.json"
+        assert main(["solve-stationary", "--model", coin_model,
+                     "--starts", "1", "--out", str(eq)]) == 0
+        for bad in ("-1", "-5"):
+            self.check(["certify", "--model", coin_model, "--plan",
+                        str(plan), "--dual", str(plan), "--competitors",
+                        bad], tmp_path / "cert.json", capsys,
+                       f"competitors must be >= 0, got {bad}")
+            self.check(["simulate", "--model", coin_model, "--equilibrium",
+                        str(eq), "--paths", "4", "--length", "10",
+                        "--competitors", bad], tmp_path / "sim.csv", capsys,
+                       f"competitors must be >= 0, got {bad}")
+        for bad in ("0", "-2"):
+            self.check(["solve-stationary", "--model", coin_model,
+                        "--starts", bad], tmp_path / "eq0.json", capsys,
+                       f"starts must be >= 1, got {bad}")
+
+    def test_model_limits(self, tmp_path, capsys):
+        model = write_json(tmp_path / "model.json", {
+            **coin_model_doc(), "limits": {"starts": 0, "competitors": -2}})
+        self.check(["solve-stationary", "--model", model],
+                   tmp_path / "eq.json", capsys, "starts must be >= 1, got 0")
+        # a valid flag overrides the model's bad limit
+        assert main(["solve-stationary", "--model", model, "--starts", "1",
+                     "--out", str(tmp_path / "eq.json")]) == 0
+        plan = tmp_path / "plan.json"
+        assert main(["solve-tree", "--model", model, "--horizon", "2",
+                     "--x0", "0.5,0.5", "--out", str(plan)]) == 0
+        self.check(["certify", "--model", model, "--plan", str(plan),
+                    "--dual", str(plan)], tmp_path / "cert.json", capsys,
+                   "competitors must be >= 0, got -2")
+
+
 def test_module_entry_point(tmp_path):
     f = write_json(tmp_path / "m.json", coin_model_doc())
     proc = subprocess.run(

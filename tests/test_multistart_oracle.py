@@ -69,7 +69,7 @@ def _search_one(xs0, prog, h0=0.25, h_min=1e-7):
     """The pattern search of one start, one sweep at a time."""
     xs = xs0.copy()
     k, n = xs.shape
-    f_cur, _ = prog.value(xs)
+    f_cur = prog.value(xs)
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     delta = np.zeros((k * len(pairs), k, n))
     m = 0
@@ -85,7 +85,7 @@ def _search_one(xs0, prog, h0=0.25, h_min=1e-7):
         best = None
         if feasible.any():
             trials = np.maximum(xs + h * delta[feasible], 0.0)
-            f_new, _ = prog.value(trials)
+            f_new = prog.value(trials)
             with np.errstate(invalid="ignore"):
                 gain = f_new - f_cur
             gain[np.isnan(gain)] = -np.inf
@@ -134,6 +134,13 @@ def _solve_loop(spec, table, starts, seed=0):
 
 
 def _assert_same_result(spec, table, starts, seed=0):
+    if starts < 1:
+        # the loop runs the uniform start alone; the solver refuses
+        with pytest.raises(ValueError, match=f"starts must be >= 1, got "
+                                             f"{starts}"):
+            solve_stationary_equilibrium(spec, table, starts=starts,
+                                         seed=seed)
+        return
     got = solve_stationary_equilibrium(spec, table, starts=starts, seed=seed)
     assert got.to_dict() == _solve_loop(spec, table, starts, seed).to_dict()
 
@@ -196,7 +203,7 @@ def test_stacked_search_single_asset_returns_its_starts():
     xs0 = np.ones((4, 3, 1))
     xs, f = _pattern_search(xs0, prog)
     np.testing.assert_array_equal(xs, xs0)
-    np.testing.assert_array_equal(f, prog.value(xs0)[0])
+    np.testing.assert_array_equal(f, prog.value(xs0))
     _assert_rows_equal(xs0, prog)
 
 
@@ -207,7 +214,7 @@ def test_stacked_search_with_a_dead_start():
     cone = ConeSpec.proportional_tc([1.0, 1.3], 0.01, [0.02, 1.0])
     prog = _StationaryProgram(spec, ConeTable({"*->*": cone}))
     dead = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert prog.value(dead)[0] == -np.inf
+    assert prog.value(dead) == -np.inf
     xs0 = np.stack([dead, np.full((2, 2), 0.5), dead[::-1]])
     _assert_rows_equal(xs0, prog)
 

@@ -4,7 +4,7 @@
 one matrix product per edge group, sums each edge's parent-side terms
 over the parent's consecutive child range, and eliminates the tree one
 depth slice at a time.  Here the same Newton system is written out
-densely, one edge at a time from ``_edge_matrices``, and solved whole.
+densely, one edge at a time from its cone's facet rows, and solved whole.
 The set-up that feeds the step (the tree layout, the edge groups and
 the interior start) is checked against the per-node loops it replaced,
 kept here as the reference.  Depths of at least ``_BATCH_LAST_WIDTH``
@@ -16,13 +16,18 @@ import numpy as np
 import pytest
 
 from vngale import solver
-from vngale.cones import ConeSpec, ConeTable, boundary_scale, wealth_weights
+from vngale.cones import (
+    ConeSpec,
+    ConeTable,
+    _by_depth,
+    _group_edges,
+    boundary_scale,
+    wealth_weights,
+)
 from vngale.scenario import MarkovSpec, build_tree
 from vngale.solver import (
     _BATCH_LAST_WIDTH,
     SolverError,
-    _edge_groups,
-    _edge_matrices,
     _interior_start,
     _solve_batch_last,
     _TreeProgram,
@@ -147,17 +152,48 @@ def test_child_ranges_match_the_loop():
 
 @pytest.mark.parametrize("name, tree, table", CASES, ids=IDS)
 def test_edge_groups_partition_by_resolved_cone(name, tree, table):
-    groups = _edge_groups(tree, table)
+    groups = _group_edges(tree, table)
     expected = [table.resolve(*tree.transition_label(v))
                 for v in range(1, tree.n_nodes)]
+    ids = np.arange(tree.n_nodes)
     seen = np.zeros(tree.n_nodes, dtype=int)
     for g in groups:
         assert np.array_equal(g.nodes, np.sort(g.nodes))
         assert np.array_equal(g.parents, tree.parent[g.nodes])
         assert all(expected[v - 1] is g.cone for v in g.nodes)
+        assert np.array_equal(ids[g.at], g.nodes)
+        assert np.array_equal(ids[g.at_parent], g.parents)
         seen[g.nodes] += 1
     assert seen[0] == 0 and (seen[1:] == 1).all()
     assert len({id(g.cone) for g in groups}) == len(groups)
+
+    # the per-depth cut: depth d's ids, each once, in pieces taken in
+    # group order, each piece its group's edges into depth d
+    ds = tree.depth_start
+    by_depth = _by_depth(tree, groups)
+    assert len(by_depth) == tree.horizon
+    gathered = False
+    for d, parts in enumerate(by_depth, 1):
+        into = [(g, (g.nodes >= ds[d]) & (g.nodes < ds[d + 1]))
+                for g in groups]
+        into = [(g, at_d) for g, at_d in into if at_d.any()]
+        assert len(parts) == len(into)
+        for p, (g, at_d) in zip(parts, into):
+            assert p.cone is g.cone
+            assert p.Fa is g.Fa and p.FaFa is g.FaFa  # shared tables
+            assert np.array_equal(p.nodes, g.nodes[at_d])
+            assert np.array_equal(p.parents, g.parents[at_d])
+            assert np.array_equal(ids[p.at], p.nodes)
+            assert np.array_equal(ids[p.at_parent], p.parents)
+            gathered |= not (isinstance(p.at, slice)
+                             and isinstance(p.at_parent, slice))
+        assert np.array_equal(np.sort(np.concatenate([p.nodes
+                                                      for p in parts])),
+                              np.arange(ds[d], ds[d + 1]))
+    if name in ("pruned", "pruned-wide"):
+        # uneven child counts leave some piece an id array: the
+        # rollout's gather path
+        assert gathered
 
 
 def _interior_start_by_node(tree, table, x0):
@@ -179,7 +215,7 @@ def _interior_start_by_node(tree, table, x0):
 @pytest.mark.parametrize("name, tree, table", CASES, ids=IDS)
 def test_interior_start_matches_the_loop(name, tree, table):
     x0 = x0_for(table)
-    groups = _edge_groups(tree, table)
+    groups = _group_edges(tree, table)
     Y = _interior_start(tree, groups, x0)
     ref = _interior_start_by_node(tree, table, x0)
     assert np.array_equal(Y, ref)
@@ -199,7 +235,7 @@ def test_zero_growth_names_the_first_failing_node():
         with pytest.raises(SolverError) as ref:
             _interior_start_by_node(tree, table, x0)
         with pytest.raises(SolverError) as got:
-            _interior_start(tree, _edge_groups(tree, table), x0)
+            _interior_start(tree, _group_edges(tree, table), x0)
         assert str(got.value) == str(ref.value)
         assert "at node 2)" in str(got.value)
 
@@ -223,7 +259,8 @@ def _dense_newton(tree, table, Y, mu, objective):
 
     for v in range(1, N):
         cone = table.resolve(*tree.transition_label(v))
-        Fa, Fv = _edge_matrices(cone)
+        C, D = cone.facets
+        Fa, Fv = -C, D
         own = cols(v)
         mw = mu * tree.abs_prob[v]
         g[own] -= mw / Y[v]

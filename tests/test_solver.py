@@ -354,6 +354,14 @@ def test_stationary_coin_model():
                              "D": pytest.approx(0.5)}
 
 
+def test_stationary_needs_a_start():
+    # starts=0 used to run the uniform start anyway
+    for starts in (0, -1):
+        with pytest.raises(ValueError, match="starts must be >= 1"):
+            solve_stationary_equilibrium(coin_spec(), coin_table(),
+                                         starts=starts)
+
+
 def test_stationary_single_asset():
     spec, table = single_state_table(1.2)
     eq = solve_stationary_equilibrium(spec, table, starts=4)

@@ -119,12 +119,13 @@ def test_stacked_growth_factors_equal_per_table_calls(data):
     xs = np.array([[data.draw(directions(n)) for _ in range(k)]
                    for _ in range(M)])
     alpha = prog.growth_factors(xs)
-    f, alpha_v = prog.value(xs)
+    f = prog.value(xs)
+    alpha_v = prog.state_factors(prog.factors(xs))
     assert alpha.shape == (M, k) and f.shape == (M,)
     np.testing.assert_array_equal(alpha_v, alpha)
     for m in range(M):
         np.testing.assert_array_equal(prog.growth_factors(xs[m]), alpha[m])
-        f_m, _ = prog.value(xs[m])
+        f_m = prog.value(xs[m])
         assert isinstance(f_m, float)
         assert f[m] == f_m
 
@@ -133,7 +134,7 @@ def _pattern_search_loop(xs0, prog, h0=0.25, h_min=1e-7):
     """The pattern search evaluating one trial table at a time."""
     xs = xs0.copy()
     k, n = xs.shape
-    f_cur, _ = prog.value(xs)
+    f_cur = prog.value(xs)
     scopes = [(s,) for s in range(k)]
     if k > 1:
         scopes.append(tuple(range(k)))
@@ -152,7 +153,7 @@ def _pattern_search_loop(xs0, prog, h0=0.25, h_min=1e-7):
                     for s in scope:
                         trial[s, i] += h
                         trial[s, j] = max(trial[s, j] - h, 0.0)
-                    f_new, _ = prog.value(trial)
+                    f_new = prog.value(trial)
                     if f_new - f_cur > best_gain:
                         best_gain = f_new - f_cur
                         best_move = trial
@@ -160,7 +161,7 @@ def _pattern_search_loop(xs0, prog, h0=0.25, h_min=1e-7):
             h *= 0.5
         else:
             xs = best_move
-            f_cur, _ = prog.value(xs)
+            f_cur = prog.value(xs)
     return xs, f_cur
 
 
@@ -184,7 +185,7 @@ def test_pattern_search_matches_loop(family, k, n, seed):
         xs, f = _pattern_search(xs0, prog, h_min=h_min)
         xs_ref, f_ref = _pattern_search_loop(xs0, prog, h_min=h_min)
         assert f == pytest.approx(f_ref, abs=1e-12)
-        assert f == pytest.approx(prog.value(xs)[0], abs=1e-15)
+        assert f == pytest.approx(prog.value(xs), abs=1e-15)
         assert (xs >= 0).all()
         np.testing.assert_allclose(xs.sum(axis=1), 1.0, atol=1e-12)
 
@@ -197,7 +198,7 @@ def test_single_asset_search_returns_its_start(k):
     xs0 = np.ones((k, 1))
     xs, f = _pattern_search(xs0, prog)
     np.testing.assert_array_equal(xs, xs0)
-    assert f == prog.value(xs0)[0]
+    assert f == prog.value(xs0)
 
 
 def test_dominance_competitors_keep_their_draws():

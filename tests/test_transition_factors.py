@@ -222,7 +222,7 @@ def test_polish_never_lowers_the_value(spec, table):
         assert (out >= 0.0).all()
         np.testing.assert_allclose(out.sum(axis=1), 1.0, rtol=0.0,
                                    atol=1e-12)
-        assert prog.value(out)[0] >= prog.value(xs)[0] - 1e-15
+        assert prog.value(out) >= prog.value(xs) - 1e-15
 
 
 # ---------------------------------------------------------------------------
