@@ -51,6 +51,9 @@ __all__ = [
 # (K, depth width, facet rows) ratios; K is the largest count that keeps
 # every such array within this many elements (at least one plan).
 _CHUNK_ELEMENTS = 1 << 16
+# asymptotic_dominance forms its steps' transition ids for at most this
+# many (path, step) pairs at a time
+_SWEEP_CHUNK_ELEMENTS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -348,11 +351,9 @@ class DominanceReport:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["competitor", "statistic", "value"])
-        for row in self.rows:
-            for key, val in row.items():
-                if key == "competitor":
-                    continue
-                writer.writerow([row["competitor"], key, repr(float(val))])
+        writer.writerows([row["competitor"], key, repr(float(val))]
+                         for row in self.rows for key, val in row.items()
+                         if key != "competitor")
         return buf.getvalue()
 
 
@@ -375,12 +376,20 @@ def asymptotic_dominance(equilibrium, spec: MarkovSpec, cone_table,
     predecessor); a competitor's factors are those the stationary solver
     assigns its proportions.
 
-    The simulation is one sweep over time for all C competitors at once:
-    each step adds the sampled log growth factors to the strategy's and
-    every competitor's log wealth and folds their log wealth ratios into
-    a running maximum.  Memory is O(paths x C) besides the sampled
-    paths; the sums are added in time order, so the report is the same,
-    bit for bit, as cumulating each competitor's paths separately.
+    The competitors' random proportions are one Dirichlet draw in
+    competitor order (the numbers of one draw per competitor), their
+    growth factors one stacked evaluation, and their factors are checked
+    and logged as one ``(C, k + 1, k)`` stack; a nonpositive factor names
+    the first competitor in row order that has one.  The simulation is
+    one sweep over time for all C competitors at once: each step adds
+    the sampled log growth factors, looked up by transition id, to the
+    strategy's and every competitor's log wealth and folds their log
+    wealth ratios into a running maximum.  Besides the sampled paths
+    (paths x length states) memory is O(paths x C + C x k x (k + n)),
+    and the transition ids are formed for at most
+    ``_SWEEP_CHUNK_ELEMENTS`` steps x paths at a time.  The sums are
+    added in time order, so the report is the same, bit for bit, as
+    cumulating each competitor's paths separately.
     """
     if length < 1 or paths < 1:
         raise ValueError("length and paths must be >= 1")
@@ -396,44 +405,29 @@ def asymptotic_dominance(equilibrium, spec: MarkovSpec, cone_table,
     prog = _StationaryProgram(spec, cone_table)
 
     # buy-and-hold and seeded random proportions, one stacked evaluation
-    names = [f"hold-{i}" for i in range(n)]
-    props = [np.tile(e_i, (k, 1)) for e_i in np.eye(n)]
     rng = np.random.default_rng(seed)
-    for j in range(competitors):
-        names.append(f"random-{j}")
-        props.append(rng.dirichlet(np.ones(n), size=k))
-    a = prog.factors(np.stack(props))
+    props = np.concatenate([
+        np.broadcast_to(np.eye(n)[:, None], (n, k, n)),
+        rng.dirichlet(np.ones(n), size=(competitors, k))])
+    a = prog.factors(props)
     steps = np.ones((len(props), k + 1, k))
     steps[:, prog.src, prog.dest] = a
     steps[:, k] = prog.state_factors(a)
-    entries = list(zip(names, steps))
-    entries.insert(n, ("dispose-10", 0.9 * np.exp(log_ax)))
-    for name in sorted(include or {}):
-        entries.append((name, _step_factors(include[name], states)))
-
-    S = sample_paths(spec, length, paths, seed)
-    log_ay = np.stack([np.log(_require_positive(f, f"competitor {name!r}"))
-                       for name, f in entries], axis=-1)  # (k + 1, k, C)
-
-    # One sweep over time for every competitor: lx (paths,) and ly
-    # (paths, C) are the log wealths, best is the running maximum of
-    # ly - lx (0 before t = 1).  half is best before step mid, the record
-    # the second half of the horizon has to beat (best itself when the
-    # horizon is one step and has no second half).
-    C = len(entries)
-    mid = length - length // 2
-    lx = np.zeros(paths)
-    ly = np.zeros((paths, C))
-    best = half = np.zeros((paths, C))
-    prev = np.full(paths, k)
-    for t in range(length):
-        if t == mid:
-            half = best.copy()
-        s = S[:, t]
-        lx += log_ax[prev, s]
-        ly += log_ay[prev, s]
-        np.maximum(best, ly - lx[:, None], out=best)
-        prev = s
+    extra = sorted(include or {})
+    names = ([f"hold-{i}" for i in range(n)] + ["dispose-10"]
+             + [f"random-{j}" for j in range(competitors)] + extra)
+    steps = np.concatenate(
+        [steps[:n], [0.9 * np.exp(log_ax)], steps[n:]]
+        + [[_step_factors(include[name], states)] for name in extra])
+    bad = ((steps <= 0.0) | ~np.isfinite(steps)).any(axis=(1, 2))
+    if bad.any():
+        c = int(bad.argmax())
+        _require_positive(steps[c], f"competitor {names[c]!r}")
+    # one row per step prev -> s, at prev * k + s
+    C = len(names)
+    log_ay = np.ascontiguousarray(np.log(steps).reshape(C, -1).T)
+    lx, ly, best, half = _sweep(spec, length, paths, seed, log_ax.ravel(),
+                                log_ay)
 
     # per-competitor statistics along the rows of C-contiguous (C, paths)
     # arrays: each row is summed pairwise, as a lone (paths,) array is
@@ -457,7 +451,7 @@ def asymptotic_dominance(equilibrium, spec: MarkovSpec, cone_table,
     mean_x = float(growth_x.mean())
     rows = [{"competitor": name, "mean_growth_strategy": mean_x,
              **{key: float(col[c]) for key, col in stats.items()}}
-            for c, (name, _) in enumerate(entries)]
+            for c, name in enumerate(names)]
 
     return DominanceReport(
         length=length,
@@ -466,6 +460,48 @@ def asymptotic_dominance(equilibrium, spec: MarkovSpec, cone_table,
         strategy_growth=float(prog.growth(step_x[prog.src, prog.dest])),
         rows=tuple(rows),
     )
+
+
+def _sweep(spec: MarkovSpec, length: int, paths: int, seed: int,
+           log_ax: np.ndarray, log_ay: np.ndarray):
+    """One sweep over time for every competitor, along ``paths`` sampled
+    paths of ``length`` steps.
+
+    ``log_ax[prev * k + s]`` and ``log_ay[prev * k + s, c]`` are the log
+    growth factors of the step prev -> s of the strategy and of
+    competitor c, prev = k on the first step.  Returns the log wealths lx
+    (paths,) and ly (paths, C); best, the running maximum of ly - lx (0
+    before t = 1); and half, best before step mid, the record the second
+    half of the horizon has to beat (best itself when the horizon is one
+    step and has no second half).  The steps' transition ids are formed
+    for at most ``_SWEEP_CHUNK_ELEMENTS`` steps x paths at a time, and
+    the paths and ids are freed on return.
+    """
+    k, C = spec.k, log_ay.shape[1]
+    S = sample_paths(spec, length, paths, seed)
+    mid = length - length // 2
+    lx = np.zeros(paths)
+    ly = np.zeros((paths, C))
+    best = half = np.zeros((paths, C))
+    rel = np.empty((paths, C))
+    prev = np.full(paths, k)
+    span = max(1, _SWEEP_CHUNK_ELEMENTS // paths)
+    for t0 in range(0, length, span):
+        chunk = S[:, t0:t0 + span].T
+        ids = np.empty(chunk.shape, dtype=np.int64)
+        ids[0] = prev
+        ids[1:] = chunk[:-1]
+        ids *= k
+        ids += chunk
+        prev = chunk[-1]
+        for t, tid in enumerate(ids, t0):
+            if t == mid:
+                half = best.copy()
+            lx += log_ax[tid]
+            ly += log_ay[tid]
+            np.subtract(ly, lx[:, None], out=rel)
+            np.maximum(best, rel, out=best)
+    return lx, ly, best, half
 
 
 def _require_positive(alpha: np.ndarray, who: str) -> np.ndarray:

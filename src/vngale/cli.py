@@ -59,8 +59,9 @@ _DEFAULT_LIMITS = {
     "seed": 0,
     "starts": 32,
 }
-# the least valid count, from a flag or from the model's limits
-_LEAST_COUNTS = {"competitors": 0, "starts": 1}
+# the least valid count or seed, from a flag or from the model's limits
+_LEAST_COUNTS = {"competitors": 0, "starts": 1, "seed": 0, "paths": 1,
+                 "length": 1}
 
 _OBJECTIVES = ("wealth", "liquidation")
 
@@ -416,11 +417,10 @@ def cmd_simulate(args) -> int:
         raise ModelError(
             f"{args.equilibrium}: not an equilibrium file: {exc}"
         ) from exc
-    limits = {key: _limit(args, cfg, key) for key in ("competitors", "seed")}
+    limits = {key: _limit(args, cfg, key)
+              for key in ("competitors", "seed", "paths", "length")}
     try:
-        rep = asymptotic_dominance(eq, cfg.markov, cfg.cones,
-                                   length=args.length, paths=args.paths,
-                                   **limits)
+        rep = asymptotic_dominance(eq, cfg.markov, cfg.cones, **limits)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

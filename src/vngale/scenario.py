@@ -28,6 +28,9 @@ __all__ = [
 ]
 
 _DEFAULT_NODE_LIMIT = 10 ** 6
+# sample_paths resolves its paths a time chunk at a time, with a table of
+# at most this many entries (steps x paths x states) per chunk
+_PATH_CHUNK_ELEMENTS = 1 << 13
 
 
 def _readonly(a, dtype=float) -> np.ndarray:
@@ -333,29 +336,75 @@ def sample_paths(spec: MarkovSpec, length: int, count: int,
     Returns an integer array of shape (count, length); row ``i`` is the
     path ``s_1 .. s_L`` drawn from the chain.  Each path uses its own
     Philox stream keyed by ``(seed mod 2**64, i)``, so row ``i`` never
-    depends on ``count`` and batches extend earlier ones.
+    depends on ``count`` and batches extend earlier ones.  The first
+    state is the number of cumulative start probabilities ``<= u *
+    total`` (a right-sided search, at most k - 1), and each later one
+    the same count over the previous state's row of cumulative
+    transition probabilities.
+
+    The draws after the first are resolved a time chunk at a time, of
+    ``_PATH_CHUNK_ELEMENTS // (count * k)`` steps (at least one).  A
+    chunk's table holds, for every step, path and previous state, the
+    next state's slot in the table: the slot of (step j, path i, state
+    s) is ``(j * count + i) * k + s``.  The table is built with the same
+    compares as a per-step search, for every previous state at once;
+    then the slots chain, and stepping every path is one ``take`` of the
+    table at the current slots.  A slot mod k is its state, and it is
+    written over the chunk's uniforms, which the table has used.
+
+    Building costs k (k - 1) compares per step and path, against about k
+    for a per-step search that looks up each path's row, so the table
+    wins while k is small.  Every test and benchmark chain has k <= 5
+    (8 in one oracle test).  On a 2-core x86_64 host at 100 paths x 500
+    steps (median of 15, random chains) it took 3.0, 4.8, 5.5, 13.9 and
+    25.2 ms at k = 2, 3, 5, 8 and 16, against 9.3, 10.9, 7.8, 11.5 and
+    9.5 ms for the per-step search: the crossover lies between k = 5
+    and 8.  One path of 10^5 steps took 37 ms against 0.58 s (k = 2).
     """
     if length < 1 or count < 1:
         raise ValueError("length and count must be >= 1")
     k = spec.k
     cum0 = np.cumsum(spec.pi0)
     cumP = np.cumsum(spec.P, axis=1)
-    base = np.uint64(seed & (2 ** 64 - 1))
-    u = np.empty((count, length))
-    for i in range(count):
-        gen = np.random.Generator(
-            np.random.Philox(key=np.array([base, np.uint64(i)],
-                                          dtype=np.uint64))
-        )
-        u[i] = gen.random(length)
-    # all paths step together; the next state is the number of
-    # cumulative probabilities <= u * total (a right-sided search)
-    out = np.empty((count, length), dtype=np.int64)
-    s = np.minimum((cum0 <= u[:, :1] * cum0[-1]).sum(axis=1), k - 1)
-    out[:, 0] = s
-    for t in range(1, length):
-        rows = cumP[s]
-        s = np.minimum((rows <= u[:, t:t + 1] * rows[:, -1:]).sum(axis=1),
-                       k - 1)
-        out[:, t] = s
+    u = _uniforms(seed, length, count)
+    # the states overwrite the uniforms they are drawn with, a chunk at a
+    # time once its table is built: no second (count, length) array
+    out = u.view(np.int64)
+    out[:, 0] = np.minimum((cum0 <= u[:, :1] * cum0[-1]).sum(axis=1), k - 1)
+    steps = max(1, _PATH_CHUNK_ELEMENTS // (count * k))
+    # slot of (step j, path i, state 0)
+    lift = (np.arange(steps + 1)[:, None] * count + np.arange(count)) * k
+    for t0 in range(1, length, steps):
+        t1 = min(t0 + steps, length)
+        total = u[:, t0:t1].T[..., None] * cumP[:, -1]  # (steps, count, k)
+        table = np.repeat(lift[1:t1 - t0 + 1, :, None], k, axis=2)
+        # a row of cumulative probabilities is nondecreasing, so the last
+        # column adds 1 only where all others do: leaving it out is the
+        # clamp to k - 1
+        for r in range(k - 1):
+            table += cumP[:, r] <= total
+        table = table.ravel()
+        slots = np.empty((t1 - t0, count), dtype=np.int64)
+        slot = lift[0] + out[:, t0 - 1]
+        for row in slots:
+            table.take(slot, out=row, mode="clip")
+            slot = row
+        slots %= k
+        out[:, t0:t1] = slots.T
     return out
+
+
+def _uniforms(seed: int, length: int, count: int) -> np.ndarray:
+    """Row i: the first ``length`` uniforms of the Philox stream keyed by
+    ``(seed mod 2**64, i)``.  One bit generator is reset to each key in
+    turn, which draws what a fresh generator per path draws."""
+    bits = np.random.Philox(
+        key=np.array([seed & (2 ** 64 - 1), 0], dtype=np.uint64))
+    gen = np.random.Generator(bits)
+    state = bits.state  # a fresh stream: counter 0, empty buffer
+    u = np.empty((count, length))
+    for i, row in enumerate(u):
+        state["state"]["key"][1] = i
+        bits.state = state
+        gen.random(out=row)
+    return u

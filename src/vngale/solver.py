@@ -55,15 +55,16 @@ proportions of u toward those of v, and the search maximizes the
 stationary mean of their logs.  All starts advance in lockstep, each
 with its own step size, and each sweep is one stacked evaluation: the
 feasible moves of every running start go through one boundary-scale
-call per transition, in chunks of at most ``_SEARCH_CHUNK_ELEMENTS``
-elements (tables x facet rows).  A table's value does not depend on the
-stack it sits in, so every start ends where it would alone, bit for
-bit.  Newton steps on the smooth piece of the objective polish the best
-table past the search's resolution.  Transient states, which carry no
-stationary weight, then take the proportions of their best one-step
-growth.  Supporting prices, one per transition, come from the tree's
-least-price recursion, run to its fixed point on each closed class of
-the chain, then on the transient states.
+call per cone, covering all the transitions that share it, in chunks
+of at most ``_SEARCH_CHUNK_ELEMENTS`` elements (tables x facet rows x
+the transitions of the largest such call).  A pair's value does not
+depend on the stack it sits in, so every start ends where it would
+alone, bit for bit.  Newton steps on the smooth piece of the objective
+polish the best table past the search's resolution.  Transient states,
+which carry no stationary weight, then take the proportions of their
+best one-step growth.  Supporting prices, one per transition, come from
+the tree's least-price recursion, run to its fixed point on each closed
+class of the chain, then on the transient states.
 """
 
 from __future__ import annotations
@@ -117,8 +118,9 @@ _MID_STAGE_DECREMENT = 0.3
 _MU_FINAL_FLOOR = 1e-15
 _PRICE_ROUNDS = 16  # cap of the stationary price policy-iteration rounds
 # the stationary pattern search evaluates its trial tables in chunks of at
-# most this many elements (tables x the largest facet-row count), so wide
-# currency cones keep their per-table cost and memory at any start count
+# most this many elements (tables x the rows x transitions of the largest
+# boundary-scale call), so wide currency cones keep their per-table cost
+# and memory at any start count
 _SEARCH_CHUNK_ELEMENTS = 1 << 14
 # W by block size n: a tree depth of at least W nodes is solved in one
 # batch-last pass, a narrower one (and any depth for a larger n) by one
@@ -602,6 +604,8 @@ class _StationaryProgram:
     v)`` where that is positive (the ``live`` transitions).  With
     ``states`` the weights are ``P(u, v)`` on the transitions out of
     those states and zero elsewhere: their expected one-step growth.
+    ``groups`` holds each distinct cone once, in order of first use, with
+    its transitions ``ts`` and their ``src[ts]`` and ``dest[ts]``.
     """
 
     def __init__(self, spec, cone_table, states=None):
@@ -622,21 +626,30 @@ class _StationaryProgram:
         # the states a search moves: those whose transitions carry weight
         self.movable = np.zeros(self.k, dtype=bool)
         self.movable[self.src[self.live]] = True
-        # largest facet-row count of a transition: sets the search chunks
-        self.rows = max(cone.facets[0].shape[0] for cone in self.cones)
+        by_cone = {}
+        for t, cone in enumerate(self.cones):
+            by_cone.setdefault(id(cone), (cone, []))[1].append(t)
+        self.groups = [(cone, np.array(ts), self.src[ts], self.dest[ts])
+                       for cone, ts in by_cone.values()]
+        # ratios of a table in the largest call: sets the search chunks
+        self.rows = max(cone.facets[0].shape[0] * len(ts)
+                        for cone, ts, _, _ in self.groups)
 
     def factors(self, xs):
         """a[..., t]: largest scale of x(dest[t]) reachable from
         x(src[t]) across transition t (1 where no row binds).
 
         ``xs`` is one ``(k, n)`` table of proportions or a stack
-        ``(M, k, n)`` of them; each transition is one boundary-scale call
-        over the whole stack.
+        ``(M, k, n)`` of them.  Each cone is one boundary-scale call, over
+        all of its transitions and the whole stack; a pair's value does
+        not depend on the stack it sits in, so it is the value of a call
+        per transition and table.
         """
         xs = np.asarray(xs, dtype=float)
-        a = np.stack([_boundary_scale(cone, xs[..., u, :], xs[..., v, :])
-                      for cone, u, v in zip(self.cones, self.src,
-                                            self.dest)], axis=-1)
+        a = np.empty(xs.shape[:-2] + (self.src.size,))
+        for cone, ts, src, dest in self.groups:
+            a[..., ts] = _boundary_scale(cone, xs[..., src, :],
+                                         xs[..., dest, :])
         return np.where(a < np.inf, a, 1.0)
 
     def state_factors(self, a):
@@ -733,7 +746,7 @@ def _pattern_search(xs0, prog, h0=0.25, h_min=1e-7):
 
 def _search_values(prog, xs):
     """``prog.value`` of a stack of tables, in chunks of at most
-    ``_SEARCH_CHUNK_ELEMENTS`` (tables x facet rows)."""
+    ``_SEARCH_CHUNK_ELEMENTS`` (tables x ``prog.rows``)."""
     size = max(1, _SEARCH_CHUNK_ELEMENTS // prog.rows)
     return np.concatenate([prog.value(xs[i:i + size])
                            for i in range(0, len(xs), size)])

@@ -434,6 +434,50 @@ class TestBadCounts:
                     "--dual", str(plan)], tmp_path / "cert.json", capsys,
                    "competitors must be >= 0, got -2")
 
+    def test_seed_and_simulation_sizes(self, coin_model, tmp_path, capsys):
+        """A seed below 0, from a flag or from the model's limits, and a
+        path count or length below 1 are usage errors too."""
+        plan = tmp_path / "plan.json"
+        assert main(["solve-tree", "--model", coin_model, "--horizon", "2",
+                     "--x0", "0.5,0.5", "--out", str(plan)]) == 0
+        eq = tmp_path / "eq.json"
+        assert main(["solve-stationary", "--model", coin_model,
+                     "--starts", "1", "--out", str(eq)]) == 0
+        certify = ["certify", "--model", coin_model, "--plan", str(plan),
+                   "--dual", str(plan)]
+        simulate = ["simulate", "--model", coin_model, "--equilibrium",
+                    str(eq), "--paths", "4", "--length", "10"]
+        for bad in ("-1", "-7"):
+            message = f"seed must be >= 0, got {bad}"
+            self.check(["solve-stationary", "--model", coin_model,
+                        "--starts", "1", "--seed", bad],
+                       tmp_path / "eq-bad.json", capsys, message)
+            self.check(certify + ["--seed", bad], tmp_path / "cert.json",
+                       capsys, message)
+            self.check(simulate + ["--seed", bad], tmp_path / "sim.csv",
+                       capsys, message)
+        for key in ("paths", "length"):
+            for bad in ("0", "-3"):
+                self.check(simulate + [f"--{key}", bad],
+                           tmp_path / "sim.csv", capsys,
+                           f"{key} must be >= 1, got {bad}")
+
+        model = write_json(tmp_path / "model.json", {
+            **coin_model_doc(), "limits": {"seed": -2}})
+        message = "seed must be >= 0, got -2"
+        self.check(["solve-stationary", "--model", model, "--starts", "1"],
+                   tmp_path / "eq-bad.json", capsys, message)
+        self.check(["certify", "--model", model, "--plan", str(plan),
+                    "--dual", str(plan)], tmp_path / "cert.json", capsys,
+                   message)
+        self.check(["simulate", "--model", model, "--equilibrium", str(eq),
+                    "--paths", "4", "--length", "10"], tmp_path / "sim.csv",
+                   capsys, message)
+        # a valid flag overrides the model's bad seed
+        assert main(["simulate", "--model", model, "--equilibrium", str(eq),
+                     "--paths", "4", "--length", "10", "--seed", "0",
+                     "--out", str(tmp_path / "sim.csv")]) == 0
+
 
 def test_module_entry_point(tmp_path):
     f = write_json(tmp_path / "m.json", coin_model_doc())

@@ -11,6 +11,8 @@ half) to several time slabs, one to a hundred paths, up to a hundred
 random competitors and an ``include`` extra.
 """
 
+import csv
+import io
 from types import SimpleNamespace
 
 import numpy as np
@@ -205,3 +207,28 @@ def test_nonpositive_growth_factor_names_the_same_competitor():
         with pytest.raises(ValueError, match="the strategy"):
             fn(dead, spec, table, competitors=2, length=10, paths=3)
 
+
+def _csv_per_row(report):
+    """One ``writerow`` per competitor and statistic."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["competitor", "statistic", "value"])
+    for row in report.rows:
+        for key, val in row.items():
+            if key != "competitor":
+                writer.writerow([row["competitor"], key, repr(float(val))])
+    return buf.getvalue()
+
+
+def test_csv_equals_per_row_writer():
+    spec, table = _model("coin", "proportional_tc")
+    strat = _strategy(spec, table, np.array([0.5, 0.3, 0.2]))
+    # a name with a comma, a quote and a line break must be quoted
+    name = 'tilted, "b"\nnext'
+    rep = asymptotic_dominance(
+        strat, spec, table, competitors=2, length=20, paths=4, seed=1,
+        include={name: _strategy(spec, table, np.array([0.2, 0.2, 0.6]))})
+    assert rep.rows[-1]["competitor"] == name
+    text = rep.to_csv()
+    assert text == _csv_per_row(rep)
+    assert '"tilted, ""b""\nnext"' in text

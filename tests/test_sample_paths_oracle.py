@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vngale.scenario import MarkovSpec, sample_paths
+from vngale.scenario import (MarkovSpec, _PATH_CHUNK_ELEMENTS,
+                             sample_paths)
 
 
 def _sample_paths_loop(spec, length, count, seed):
@@ -31,6 +32,13 @@ def _sample_paths_loop(spec, length, count, seed):
     return out
 
 
+def _weights(k):
+    w = np.random.default_rng(k).random((k, k))
+    w[w < 1.0 / 3] = 0.0
+    w[np.arange(k), np.arange(k)] += 0.1
+    return w / w.sum(axis=1, keepdims=True)
+
+
 CHAINS = {
     "one-state": MarkovSpec(["S"], [[1.0]]),
     "coin": MarkovSpec(["U", "D"], [[0.5, 0.5], [0.5, 0.5]]),
@@ -43,6 +51,8 @@ CHAINS = {
                           [0.0, 0.0, 0.0, 1.0]],
                          pi0=[0.0, 0.5, 0.5, 0.0]),
     "skew": MarkovSpec(["A", "B", "C"], [[0.98, 0.01, 0.01]] * 3),
+    # eight states, about a third of the transitions impossible
+    "eight": MarkovSpec([f"s{i}" for i in range(8)], _weights(8)),
 }
 
 
@@ -71,3 +81,22 @@ def test_random_sparse_chains_equal_loop(data):
     seed = data.draw(st.integers(0, 2 ** 64 - 1))
     np.testing.assert_array_equal(sample_paths(spec, 30, 9, seed),
                                   _sample_paths_loop(spec, 30, 9, seed))
+
+
+@pytest.mark.parametrize("name", sorted(CHAINS))
+@pytest.mark.parametrize("count", [1, 6])
+def test_chunk_boundaries_equal_loop(name, count):
+    # the draws after the first are resolved in chunks of this many steps
+    spec = CHAINS[name]
+    chunk = max(1, _PATH_CHUNK_ELEMENTS // (count * spec.k))
+    for length in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+        np.testing.assert_array_equal(
+            sample_paths(spec, length, count, 5),
+            _sample_paths_loop(spec, length, count, 5))
+
+
+@pytest.mark.parametrize("name", ["coin", "sparse", "eight"])
+def test_one_long_path_equals_loop(name):
+    spec = CHAINS[name]
+    np.testing.assert_array_equal(sample_paths(spec, 20001, 1, 3),
+                                  _sample_paths_loop(spec, 20001, 1, 3))

@@ -130,6 +130,41 @@ def test_stacked_growth_factors_equal_per_table_calls(data):
         assert f[m] == f_m
 
 
+@SETTINGS
+@given(st.data())
+def test_factors_equal_one_call_per_transition(data):
+    """``factors`` makes one boundary-scale call per cone, over all of
+    its transitions; each transition's factor must equal a call of its
+    own, for one table and for a stack of them."""
+    k = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(1, 4))
+    spec = _chain(k)
+    layout = data.draw(st.sampled_from(["*->*", "*->v", "u->v"]))
+    entries = {"*->*": data.draw(cones(n))}
+    for u in spec.states:
+        for v in spec.states:
+            if layout == "*->v" and u == spec.states[0]:
+                entries[f"*->{v}"] = data.draw(cones(n))
+            # exact keys beside a wildcard that the others share
+            if layout == "u->v" and data.draw(st.booleans()):
+                entries[f"{u}->{v}"] = data.draw(cones(n))
+    table = ConeTable(entries)
+    prog = _StationaryProgram(spec, table)
+    used = {id(table.resolve(spec.states[u], spec.states[v]))
+            for u, v in zip(prog.src, prog.dest)}
+    assert len(prog.groups) == len(used)
+    M = data.draw(st.integers(1, 5))
+    xs = np.array([[data.draw(directions(n)) for _ in range(k)]
+                   for _ in range(M)])
+    for stack in (xs[0], xs):
+        a = np.stack([
+            _boundary_scale(table.resolve(spec.states[u], spec.states[v]),
+                            stack[..., u, :], stack[..., v, :])
+            for u, v in zip(prog.src, prog.dest)], axis=-1)
+        np.testing.assert_array_equal(prog.factors(stack),
+                                      np.where(a < np.inf, a, 1.0))
+
+
 def _pattern_search_loop(xs0, prog, h0=0.25, h_min=1e-7):
     """The pattern search evaluating one trial table at a time."""
     xs = xs0.copy()
