@@ -12,10 +12,13 @@ weight per unit of probability and a rare node ends as close to its
 central path as the root.  That lets the path-following cut ``mu`` by a
 factor of 100 per stage (``_MU_FACTOR``), a long-step schedule.  The
 interior start gives each node the analytic-centre share of its wealth
-budget, and every cut opens with one step along the central-path
-tangent.  Only the last stage's iterate is returned, so the stages
-before it are centred loosely (``_MID_STAGE_DECREMENT``), and a solve
-takes 20-45 Newton steps on trees of up to 8191 nodes.  Each Newton
+budget, and the path starts at the first cut, ``mu = 0.01``: the start
+is about as near that stage's central path as centring at ``mu = 1``
+and a predictor would bring it.  Every later cut opens with one step
+along the central-path tangent.  Only the last stage's iterate is
+returned, so the stages before it are centred loosely
+(``_MID_STAGE_DECREMENT``), and a solve takes 14-34 Newton steps on
+trees of up to 8191 nodes.  Each Newton
 system is assembled with one matrix product per group of edges sharing a
 cone, and eliminated leaf-to-root over the breadth-first node ids: a
 depth is one id slice, each node's block couples only its parent, and
@@ -106,13 +109,14 @@ __all__ = [
 
 _WEALTH_FLOOR = 1e-300
 # barrier weight cut per path-following stage (long step: the weighted
-# barrier keeps every node near its central path)
+# barrier keeps every node near its central path), and the weight of the
+# first stage: the interior start is already near its central path
 _MU_FACTOR = 0.01
 # an intermediate stage (mu above mu_final) ends once half the squared
-# Newton decrement is at most this fraction of mu (lambda^2 / mu <= 0.6):
+# Newton decrement is at most this multiple of mu (lambda^2 / mu <= 6):
 # only the last stage's iterate is returned, so the earlier ones need
 # only be near enough their central path for the next predictor step
-_MID_STAGE_DECREMENT = 0.3
+_MID_STAGE_DECREMENT = 3.0
 # smallest last barrier weight: the rows' slacks end near it, and below a
 # few rounding units they round to zero (see solve_tree_log_optimal)
 _MU_FINAL_FLOOR = 1e-15
@@ -484,15 +488,17 @@ def solve_tree_log_optimal(tree: ScenarioTree, cone_table, x0,
     linear in the node count.
 
     The barrier weight ``mu`` multiplies every node's barrier logs per
-    unit of that node's probability.  It starts at 1 and is cut by
+    unit of that node's probability.  It starts at the first cut,
+    ``max(_MU_FACTOR, mu_final)`` (0.01 by default), and is cut by
     ``_MU_FACTOR`` (0.01) per stage; the last stage runs at exactly
-    ``mu_final``.  The start keeps the fraction ``k / (k + 1)`` of each
-    edge's boundary scale, ``k = (H - d + 1) (n + 1)`` at depth ``d``.
+    ``mu_final``, the only stage when ``mu_final >= 0.01``.  The start
+    keeps the fraction ``k / (k + 1)`` of each edge's boundary scale,
+    ``k = (H - d + 1) (n + 1)`` at depth ``d``.
     Each stage takes damped Newton steps (Armijo backtracking from 0.99
     of the way to the boundary, or the full step when nothing blocks
     it), at most 40, until half the squared Newton decrement is small:
-    at most ``_MID_STAGE_DECREMENT * mu`` (0.3 mu, a barrier-scaled
-    decrement ``lambda^2 / mu <= 0.6``) in a stage above ``mu_final``,
+    at most ``_MID_STAGE_DECREMENT * mu`` (3 mu, a barrier-scaled
+    decrement ``lambda^2 / mu <= 6``) in a stage above ``mu_final``,
     and at most ``max(1e-13, 1e-3 * mu_final)`` in the last stage.
     Only the last iterate is returned, and the next stage's predictor
     tolerates a loosely centred start.  Each cut from ``mu`` to ``mu'``
@@ -526,7 +532,7 @@ def solve_tree_log_optimal(tree: ScenarioTree, cone_table, x0,
     X = _interior_start(tree, prog.groups, x0)
 
     iterations = 0
-    mu = 1.0
+    mu = max(_MU_FACTOR, mu_final)
     while True:
         stage_tol = (_MID_STAGE_DECREMENT * mu if mu > mu_final
                      else max(1e-13, 1e-3 * mu))

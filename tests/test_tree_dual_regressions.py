@@ -178,10 +178,34 @@ def test_barrier_stages_end_exactly_at_mu_final(monkeypatch):
     table = LARGE[0][1]
     solve_tree_log_optimal(build_tree(COIN, 3), table,
                            np.full(table.n, 1 / table.n), extract_dual=False)
-    assert len(weights) == 7
-    assert weights == pytest.approx([10.0 ** -e for e in range(0, 13, 2)],
+    assert len(weights) == 6
+    assert weights == pytest.approx([10.0 ** -e for e in range(2, 13, 2)],
                                     rel=1e-12)
     assert weights[-1] == 1e-12
+
+
+# the path starts at the first cut, or at mu_final when that lies above it
+@pytest.mark.parametrize("mu_final, expected", [(1e-3, [1e-2, 1e-3]),
+                                                (0.05, [0.05]),
+                                                (1.0, [1.0]),
+                                                (3.0, [3.0])])
+def test_last_stage_runs_at_mu_final_above_the_first_cut(mu_final, expected,
+                                                         monkeypatch):
+    weights = []
+    step = _TreeProgram.newton_step
+
+    def record(self, Y, mu):
+        if not weights or weights[-1] != mu:
+            weights.append(mu)
+        return step(self, Y, mu)
+
+    monkeypatch.setattr(_TreeProgram, "newton_step", record)
+    table = LARGE[0][1]
+    solve_tree_log_optimal(build_tree(COIN, 3), table,
+                           np.full(table.n, 1 / table.n), extract_dual=False,
+                           mu_final=mu_final)
+    assert weights == pytest.approx(expected, rel=1e-12)
+    assert weights[-1] == mu_final
 
 
 def _kelly(probs, R):
@@ -215,8 +239,9 @@ def _kelly(probs, R):
 
 def test_intermediate_stages_stop_at_the_barrier_scaled_decrement(
         monkeypatch):
-    # a stage above mu_final ends at its first step with dec/2 <= 0.3 mu;
-    # only the last stage is centred to 1e-13
+    # a stage above mu_final ends at its first step with
+    # dec/2 <= _MID_STAGE_DECREMENT mu; only the last stage is centred
+    # to 1e-13
     steps = []
     step = _TreeProgram.newton_step
 
@@ -234,10 +259,11 @@ def test_intermediate_stages_stop_at_the_barrier_scaled_decrement(
     for mu, half in steps:
         stages.setdefault(mu, []).append(half)
     *middle, last = stages.items()
-    assert len(middle) == 6
+    assert len(middle) == 5
+    cut = solver._MID_STAGE_DECREMENT
     for mu, halves in middle:
-        assert halves[-1] <= 0.3 * mu
-        assert all(h > 0.3 * mu for h in halves[:-1])
+        assert halves[-1] <= cut * mu
+        assert all(h > cut * mu for h in halves[:-1])
     assert last[0] == 1e-12
     assert last[1][-1] <= 1e-13
     # frictionless and i.i.d.: the optimum separates by node, the root
