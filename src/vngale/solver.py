@@ -17,8 +17,12 @@ is about as near that stage's central path as centring at ``mu = 1``
 and a predictor would bring it.  Every later cut opens with one step
 along the central-path tangent.  Only the last stage's iterate is
 returned, so the stages before it are centred loosely
-(``_MID_STAGE_DECREMENT``), and a solve takes 14-34 Newton steps on
-trees of up to 8191 nodes.  Each Newton
+(``_MID_STAGE_DECREMENT``).  A stage ends only when every node is
+centred, not just the probability-weighted sum: each node's share of
+the Newton decrement, over its probability, is held to the stage's
+tolerance, else a node of probability 5e-10 can stay far off its
+path while the weighted decrement is tiny.  A solve takes 14-38 Newton steps
+on trees of up to 8191 nodes.  Each Newton
 system is assembled with one matrix product per group of edges sharing a
 cone, and eliminated leaf-to-root over the breadth-first node ids: a
 depth is one id slice, each node's block couples only its parent, and
@@ -113,9 +117,10 @@ _WEALTH_FLOOR = 1e-300
 # first stage: the interior start is already near its central path
 _MU_FACTOR = 0.01
 # an intermediate stage (mu above mu_final) ends once half the squared
-# Newton decrement is at most this multiple of mu (lambda^2 / mu <= 6):
-# only the last stage's iterate is returned, so the earlier ones need
-# only be near enough their central path for the next predictor step
+# Newton decrement is at most this multiple of mu (lambda^2 / mu <= 6),
+# in total and at every node per unit of its probability: only the last
+# stage's iterate is returned, so the earlier ones need only be near
+# enough their central path for the next predictor step
 _MID_STAGE_DECREMENT = 3.0
 # smallest last barrier weight: the rows' slacks end near it, and below a
 # few rounding units they round to zero (see solve_tree_log_optimal)
@@ -340,11 +345,12 @@ class _TreeProgram:
 
     def newton_step(self, Y, mu):
         """One damped Newton step on the barrier; returns the updated
-        state and the Newton decrement."""
+        state, the Newton decrement and the largest node's share of it
+        per unit of that node's probability."""
         G, H, CP, vals, rows = self._assemble(Y, mu)
-        dY, decrement = self._solve_kkt_by_depth(G, H, CP)
+        dY, decrement, worst = self._solve_kkt_by_depth(G, H, CP)
         if decrement <= 0:
-            return Y, 0.0
+            return Y, 0.0, 0.0
         t = min(1.0, 0.99 * self._max_step(Y, dY, rows))
 
         # Armijo backtracking on the barrier objective
@@ -353,7 +359,7 @@ class _TreeProgram:
         for _ in range(60):
             Yn = Y + t * dY
             if self.phi(Yn, mu) <= base + 0.25 * t * slope:
-                return Yn, decrement
+                return Yn, decrement, worst
             t *= 0.5
         raise SolverError("line search failed to make progress")
 
@@ -365,7 +371,7 @@ class _TreeProgram:
         step exactly ``y (mu_next / mu - 1)``, so the damped steps that
         would open the next stage are taken in one."""
         G, H, CP, _, rows = self._assemble(Y, mu, objective=False)
-        dY, _ = self._solve_kkt_by_depth(G, H, CP)
+        dY = self._solve_kkt_by_depth(G, H, CP)[0]
         # dY = -H^-1 (mu grad barrier)
         dY *= mu_next / mu - 1.0
         return Y + min(1.0, 0.99 * self._max_step(Y, dY, rows)) * dY
@@ -392,6 +398,10 @@ class _TreeProgram:
         numpy overhead.  The ridged blocks are SPD, so the pass needs no
         pivoting.  Both results go through the same node-major Schur
         complements and back-substitution.
+
+        Returns the step, the Newton decrement ``g^T H^-1 g`` and the
+        largest node's term of that sum (its eliminated block's) over
+        the node's probability.
         """
         tree = self.tree
         N, n = G.shape
@@ -431,9 +441,12 @@ class _TreeProgram:
             up = np.repeat(delta[ps], tree.n_children[ps], axis=0)
             delta[vs] = -(sol[vs, :, 0] + (
                 sol[vs, :, 1:] @ up[:, :, None])[:, :, 0])
-        # g^T H^-1 g, summed over the blocks as they were eliminated
-        decrement = float(np.einsum("vi,vi->", G[1:], sol[1:, :, 0]))
-        return delta, decrement
+        # g^T H^-1 g, summed over the blocks as they were eliminated; a
+        # node's block carries its probability, so its term over that
+        # probability is its own decrement, however rare the node
+        per_node = np.einsum("vi,vi->v", G[1:], sol[1:, :, 0])
+        worst = float((per_node / tree.abs_prob[1:]).max())
+        return delta, float(per_node.sum()), worst
 
 
 def _solve_batch_last(H, G, CP, depth):
@@ -499,10 +512,14 @@ def solve_tree_log_optimal(tree: ScenarioTree, cone_table, x0,
     it), at most 40, until half the squared Newton decrement is small:
     at most ``_MID_STAGE_DECREMENT * mu`` (3 mu, a barrier-scaled
     decrement ``lambda^2 / mu <= 6``) in a stage above ``mu_final``,
-    and at most ``max(1e-13, 1e-3 * mu_final)`` in the last stage.
-    Only the last iterate is returned, and the next stage's predictor
-    tolerates a loosely centred start.  Each cut from ``mu`` to ``mu'``
-    first takes one predictor step along the central-path tangent,
+    and at most ``max(1e-13, 1e-3 * mu_final)`` in the last stage.  The
+    bound holds for the whole decrement and for every node's term of it
+    over the node's probability, so no stage ends short of its 40 steps
+    while a rare node is off its path.  Only the last iterate is
+    returned, and the next
+    stage's predictor tolerates a loosely centred start.  Each cut from
+    ``mu`` to ``mu'`` first takes one predictor step along the
+    central-path tangent,
     ``(1 - mu'/mu) H^-1 (mu grad barrier)``, cut to 0.99 of the way to
     the boundary; it counts in ``iterations``.
 
@@ -537,9 +554,9 @@ def solve_tree_log_optimal(tree: ScenarioTree, cone_table, x0,
         stage_tol = (_MID_STAGE_DECREMENT * mu if mu > mu_final
                      else max(1e-13, 1e-3 * mu))
         for _ in range(40):
-            X, dec = prog.newton_step(X, mu)
+            X, dec, worst = prog.newton_step(X, mu)
             iterations += 1
-            if dec / 2.0 <= stage_tol:
+            if max(dec, worst) / 2.0 <= stage_tol:
                 break
         if mu <= mu_final:
             break

@@ -248,7 +248,11 @@ def _dense_newton(tree, table, Y, mu, objective):
     """Gradient and Hessian of the barrier over all non-root node
     variables, written edge by edge, with the solver's relative ridge;
     node ``v``'s coordinate and edge-row logs carry its probability.
-    Returns the Newton direction and decrement."""
+    Returns the Newton direction, the decrement and the largest node
+    term over the node's probability.  Node ``v``'s term is what its
+    subtree's decrement adds to its children's subtrees' (they couple
+    only through ``v``), i.e. its block's term once the subtrees below
+    are eliminated."""
     n = table.n
     N = tree.n_nodes
     g = np.zeros((N - 1) * n)
@@ -285,7 +289,18 @@ def _dense_newton(tree, table, Y, mu, objective):
         own = cols(v)
         H[own, own] += 1e-14 * max(H[own, own].max(), tree.abs_prob[v])
     delta = np.linalg.solve(H, -g)
-    return delta.reshape(N - 1, n), float(-g @ delta)
+
+    subtree = {}
+    decrement = {}
+    worst = 0.0
+    for v in range(N - 1, 0, -1):
+        kids = [c for c in range(v + 1, N) if tree.parent[c] == v]
+        subtree[v] = np.concatenate([cols(v)] + [subtree[c] for c in kids])
+        S = subtree[v]
+        decrement[v] = g[S] @ np.linalg.solve(H[np.ix_(S, S)], g[S])
+        term = decrement[v] - sum(decrement[c] for c in kids)
+        worst = max(worst, term / tree.abs_prob[v])
+    return delta.reshape(N - 1, n), float(-g @ delta), worst
 
 
 @pytest.mark.parametrize("objective", ["wealth", "liquidation"])
@@ -305,14 +320,16 @@ def test_newton_direction_matches_dense_solve(name, tree, table, objective):
     prog._solve_kkt_by_depth = record
     for mu in (1.0, 1e-1, 1e-2):
         for _ in range(3):
-            Y_next, dec = prog.newton_step(Y, mu)
-            dY, dec_tree = steps[-1]
-            assert dec == dec_tree
-            ref, ref_dec = _dense_newton(tree, table, Y, mu, objective)
+            Y_next, dec, worst = prog.newton_step(Y, mu)
+            dY, dec_tree, worst_tree = steps[-1]
+            assert (dec, worst) == (dec_tree, worst_tree)
+            ref, ref_dec, ref_worst = _dense_newton(tree, table, Y, mu,
+                                                    objective)
             assert np.abs(dY[0]).max() == 0.0
             scale = np.abs(ref).max()
             assert np.abs(dY[1:] - ref).max() <= 1e-9 * scale
             assert dec == pytest.approx(ref_dec, rel=1e-9)
+            assert worst == pytest.approx(ref_worst, rel=1e-9)
             Y = Y_next
 
 

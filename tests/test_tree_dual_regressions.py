@@ -54,6 +54,27 @@ def test_skewed_frictionless_chain_certifies():
     assert rep.passed, rep.to_dict()
 
 
+# a stop that read only the probability-weighted Newton decrement left
+# a node of probability 5e-10 far off its central path on these models
+# (kkt 6.8e-3 and 1.1e-2, the certificate failing there); on the rounded
+# one, so did a stop that held every node in the stages above mu_final
+# but not in the last
+@pytest.mark.parametrize("up, down", [
+    ([1.0, 1.9360158985036722, 1.9243763152922955],
+     [1.0, 1.3949457879015692, 0.7830761430459751]),
+    ([1.0, 1.94, 1.92], [1.0, 1.39, 0.78]),
+], ids=["drawn", "rounded"])
+def test_rare_nodes_are_centred_before_a_stage_ends(up, down):
+    spec = MarkovSpec(["U", "D"], [[0.999, 0.001], [0.999, 0.001]])
+    table = ConeTable({"*->U": ConeSpec.frictionless(up),
+                       "*->D": ConeSpec.frictionless(down)})
+    res = solve_tree_log_optimal(build_tree(spec, 5), table,
+                                 np.full(3, 1 / 3))
+    assert res.kkt_residual <= 1e-9
+    rep = check_rapid(res.plan, res.dual, table)
+    assert rep.passed, rep.to_dict()
+
+
 def test_1093_node_skewed_costs_certify():
     spec = MarkovSpec(["A", "B", "C"], [[0.98, 0.01, 0.01]] * 3)
     returns = {"A": [1.0, 1.1], "B": [1.0, 0.6], "C": [1.0, 1.5]}
@@ -239,16 +260,16 @@ def _kelly(probs, R):
 
 def test_intermediate_stages_stop_at_the_barrier_scaled_decrement(
         monkeypatch):
-    # a stage above mu_final ends at its first step with
-    # dec/2 <= _MID_STAGE_DECREMENT mu; only the last stage is centred
-    # to 1e-13
+    # a stage above mu_final ends at its first step with dec/2 <=
+    # _MID_STAGE_DECREMENT mu, in total and at every node per unit of its
+    # probability; only the last stage is centred to 1e-13
     steps = []
     step = _TreeProgram.newton_step
 
     def record(self, Y, mu):
-        Y, dec = step(self, Y, mu)
-        steps.append((mu, dec / 2.0))
-        return Y, dec
+        Y, dec, worst = step(self, Y, mu)
+        steps.append((mu, max(dec, worst) / 2.0))
+        return Y, dec, worst
 
     monkeypatch.setattr(_TreeProgram, "newton_step", record)
     table = LARGE[0][1]

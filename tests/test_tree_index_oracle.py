@@ -170,8 +170,9 @@ def ref_solve_kkt_by_depth(self, G, H, CP):
         vs = slice(ds[d], ds[d + 1])
         delta[vs] = -(sol[vs, :, 0] + (
             sol[vs, :, 1:] @ delta[tree.parent[vs], :, None])[:, :, 0])
-    decrement = float(np.einsum("vi,vi->", G[1:], sol[1:, :, 0]))
-    return delta, decrement
+    per_node = np.einsum("vi,vi->v", G[1:], sol[1:, :, 0])
+    return (delta, float(per_node.sum()),
+            float((per_node / tree.abs_prob[1:]).max()))
 
 
 def iterates(tree, table, objective="wealth"):
@@ -182,7 +183,7 @@ def iterates(tree, table, objective="wealth"):
     for mu in (1.0, 1e-2, 1e-4):
         for _ in range(2):
             yield prog, Y, mu
-            Y, _ = prog.newton_step(Y, mu)
+            Y = prog.newton_step(Y, mu)[0]
         Y = prog.predictor_step(Y, mu, mu * 1e-2)
 
 
@@ -207,12 +208,12 @@ def relative_gap(a, b):
                          ids=[c[0] for c in FANOUT2])
 def test_fanout2_step_is_bit_identical(name, tree, table, objective):
     for prog, Y, mu in iterates(tree, table):
-        (got, (dY, dec)), (ref, (ref_dY, ref_dec)) = both_steps(
-            prog, Y, mu, objective)
+        (got, (dY, dec, worst)), (ref, (ref_dY, ref_dec, ref_worst)) = (
+            both_steps(prog, Y, mu, objective))
         for a, b in zip(got, ref):
             assert np.array_equal(a, b)
         assert np.array_equal(dY, ref_dY)
-        assert dec == ref_dec
+        assert (dec, worst) == (ref_dec, ref_worst)
 
 
 @pytest.mark.parametrize("objective", [True, False])
@@ -220,12 +221,13 @@ def test_fanout2_step_is_bit_identical(name, tree, table, objective):
                          ids=[c[0] for c in FANOUT3])
 def test_fanout3_step_agrees_to_rounding(name, tree, table, objective):
     for prog, Y, mu in iterates(tree, table, "liquidation"):
-        (got, (dY, dec)), (ref, (ref_dY, ref_dec)) = both_steps(
-            prog, Y, mu, objective)
+        (got, (dY, dec, worst)), (ref, (ref_dY, ref_dec, ref_worst)) = (
+            both_steps(prog, Y, mu, objective))
         for a, b in zip(got, ref):
             assert relative_gap(a, b) <= 1e-12
         assert relative_gap(dY, ref_dY) <= 1e-12
         assert dec == pytest.approx(ref_dec, rel=1e-12)
+        assert worst == pytest.approx(ref_worst, rel=1e-12)
 
 
 @pytest.mark.parametrize("root", [None, "B"])
