@@ -107,20 +107,21 @@ class MarkovSpec:
         chain (I + P)/2, which is aperiodic and has the Cesaro limit of P.
         M is found by squaring, with rows renormalized after each squaring
         (rounding would otherwise grow them to overflow), at most 64 times
-        and until a squaring leaves M unchanged.  On an irreducible chain
-        this is the unique invariant law.  On a reducible chain each closed
-        class carries its own invariant law scaled by the probability that
-        the uniform start ends in it, and transient states carry none.
-        Raises ``RuntimeError`` if the residual check fails.
+        and until no entry moves by more than 4 rounding units.  On an
+        irreducible chain this is the unique invariant law.  On a reducible
+        chain each closed class carries its own invariant law scaled by the
+        probability that the uniform start ends in it, and transient states
+        carry exactly none.  Raises ``RuntimeError`` if the residual check
+        fails.
         """
         M = 0.5 * (np.eye(self.k) + self.P)
         for _ in range(64):
-            M2 = M @ M
-            M2 /= M2.sum(axis=1, keepdims=True)
-            if np.array_equal(M2, M):
+            M, last = M @ M, M
+            M /= M.sum(axis=1, keepdims=True)
+            if np.abs(M - last).max() <= 4.0 * np.finfo(float).eps:
                 break
-            M = M2
         pi = np.full(self.k, 1.0 / self.k) @ M
+        pi[~_reach(self.P)[1]] = 0.0
         res = float(np.abs(pi @ self.P - pi).max())
         if res > 1e-10:
             raise RuntimeError(
@@ -216,6 +217,15 @@ class ScenarioTree:
         u = self.parent[v]
         pu = "*" if self.state[u] < 0 else self.spec.states[self.state[u]]
         return (pu, self.spec.states[self.state[v]])
+
+
+def _reach(P):
+    """``R[u, v]``: v is reachable from u (u itself included), and
+    ``closed[u]``: u's class is closed (u reaches back every state it
+    reaches)."""
+    k = len(P)
+    R = np.linalg.matrix_power(np.eye(k, dtype=bool) | (P > 0.0), k)
+    return R, (R <= R.T).all(axis=1)
 
 
 def build_tree(spec: MarkovSpec, horizon: int,

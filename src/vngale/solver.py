@@ -55,23 +55,15 @@ reported as ``kkt_residual``; zero certifies the plan globally optimal,
 since an exactly-supporting dual makes every competitor's deflated
 wealth a supermartingale.
 
-The stationary solver searches over per-state simplex proportions with a
-seeded multistart pattern search.  A balanced strategy grows by one
-factor per transition u -> v, the largest feasible scale from the
-proportions of u toward those of v, and the search maximizes the
-stationary mean of their logs.  All starts advance in lockstep, each
-with its own step size, and each sweep is one stacked evaluation: the
-feasible moves of every running start go through one boundary-scale
-call per cone, covering all the transitions that share it, in chunks
-of at most ``_SEARCH_CHUNK_ELEMENTS`` elements (tables x facet rows x
-the transitions of the largest such call).  A pair's value does not
-depend on the stack it sits in, so every start ends where it would
-alone, bit for bit.  Newton steps on the smooth piece of the objective
-polish the best table past the search's resolution.  Transient states,
-which carry no stationary weight, then take the proportions of their
-best one-step growth.  Supporting prices, one per transition, come from
-the tree's least-price recursion, run to its fixed point on each closed
-class of the chain, then on the transient states.
+The stationary solver maximizes ``sum_t w_t s_t``, the stationary mean
+of a balanced strategy's log factors, with ``s_t <= log C_r x(u) - log
+D_r x(v)`` for every facet row r of each transition u -> v, by damped
+Newton steps on a log barrier with the tree's stages, from seeded starts
+in one batch, each without the curvature of the convex ``-log D_r
+x(v)`` (the convex-concave procedure; Lipp & Boyd, Optim. Eng. 17,
+2016).  Transient states then take their best one-step growth.  Prices,
+one per transition, come from the tree's least-price recursion, run to
+its fixed point on each closed class, then on the transient states.
 """
 
 from __future__ import annotations
@@ -99,7 +91,7 @@ from .plans import (
     _step_factors,
     _transition_key,
 )
-from .scenario import MarkovSpec, ScenarioTree, _child_sums
+from .scenario import MarkovSpec, ScenarioTree, _child_sums, _reach
 
 __all__ = [
     "SolverError",
@@ -126,11 +118,6 @@ _MID_STAGE_DECREMENT = 3.0
 # few rounding units they round to zero (see solve_tree_log_optimal)
 _MU_FINAL_FLOOR = 1e-15
 _PRICE_ROUNDS = 16  # cap of the stationary price policy-iteration rounds
-# the stationary pattern search evaluates its trial tables in chunks of at
-# most this many elements (tables x the rows x transitions of the largest
-# boundary-scale call), so wide currency cones keep their per-table cost
-# and memory at any start count
-_SEARCH_CHUNK_ELEMENTS = 1 << 14
 # W by block size n: a tree depth of at least W nodes is solved in one
 # batch-last pass, a narrower one (and any depth for a larger n) by one
 # LAPACK call per n x n block.  Set at the measured crossover of the two
@@ -646,17 +633,34 @@ class _StationaryProgram:
         weight = weight * spec.P[self.src, self.dest]
         self.live = weight > 0.0
         self.weight = weight[self.live]
-        # the states a search moves: those whose transitions carry weight
+        # the states the ascent moves: those whose transitions carry weight
         self.movable = np.zeros(self.k, dtype=bool)
         self.movable[self.src[self.live]] = True
+        n = cone_table.n
+        # a movable coordinate's barrier weight is its state's weight out
+        self.coords = np.flatnonzero(np.repeat(self.movable, n))
+        self.coord_weight = np.bincount(self.src[self.live], self.weight,
+                                        self.k).repeat(n)[self.coords]
         by_cone = {}
         for t, cone in enumerate(self.cones):
             by_cone.setdefault(id(cone), (cone, []))[1].append(t)
         self.groups = [(cone, np.array(ts), self.src[ts], self.dest[ts])
                        for cone, ts in by_cone.values()]
-        # ratios of a table in the largest call: sets the search chunks
-        self.rows = max(cone.facets[0].shape[0] * len(ts)
-                        for cone, ts, _, _ in self.groups)
+        # the live transitions' facet rows, padded with rows of no load,
+        # and the flat positions of (x(u), x(v)) and of its Hessian block
+        live = np.flatnonzero(self.live)
+        R = max(self.cones[t].facets[0].shape[0] for t in live)
+        self.C, self.D = np.zeros((2, live.size, R, n))
+        for i, t in enumerate(live):
+            C, D = self.cones[t].facets
+            self.C[i, :len(C)], self.D[i, :len(D)] = C, D
+        self.pos = (np.stack([self.src[live], self.dest[live]], axis=1)[
+            ..., None] * n + np.arange(n)).reshape(live.size, 2 * n)
+        self.cell = self.pos[:, :, None] * (self.k * n) + self.pos[:, None, :]
+        self.F = np.concatenate([self.C, -self.D], axis=-1)
+        # simplex directions: a last coordinate moves by minus the others
+        self.simplex = np.kron(np.eye(self.k)[:, self.movable],
+                               np.vstack([np.eye(n - 1), -np.ones(n - 1)]))
 
     def factors(self, xs):
         """a[..., t]: largest scale of x(dest[t]) reachable from
@@ -691,14 +695,10 @@ class _StationaryProgram:
 
     def growth(self, a):
         """Expected log growth ``sum_u pi(u) sum_v P(u, v) log a(u, v)`` of
-        the transition factors ``a[..., t]``, over the live transitions,
-        added in transition order: a stacked table sums as it would
-        alone."""
-        logs = np.log(a[..., self.live])
-        total = np.zeros(logs.shape[:-1])
-        for t, w in enumerate(self.weight):
-            total = total + w * logs[..., t]
-        return total
+        the transition factors ``a[..., t]``: a stacked table's sum runs
+        along its own row, as it would alone."""
+        return (self.weight * np.log(a.compress(self.live, axis=-1))
+                ).sum(axis=-1)
 
     def value(self, xs):
         """:meth:`growth` of one table (a float) or a stack of them (an
@@ -710,150 +710,151 @@ class _StationaryProgram:
                      self.growth(np.where(dead[..., None], 1.0, a)))
         return float(f) if f.ndim == 0 else f
 
+    def _rows(self, x):
+        """Caps ``C_r x(u)``, loads ``D_r x(v)``, logs ``log(cap / load)`` and
+        rows with load, ``(M, T, R)``; a row without load logs ``+inf``."""
+        flat = x.reshape(len(x), -1)
+        n = x.shape[-1]
+        cap = (self.C @ flat.take(self.pos[:, :n], axis=1)[..., None])[..., 0]
+        load = (self.D @ flat.take(self.pos[:, n:], axis=1)[..., None])[..., 0]
+        on = load > 0.0
+        cap, load = np.where(on, cap, 1.0), np.where(on, load, 1.0)
+        return cap, load, np.where(on, np.log(cap / load), np.inf), on
 
-def _pattern_search(xs0, prog, h0=0.25, h_min=1e-7):
-    """Best-improvement search over per-state simplex moves.
+    def centre(self, rows, mu):
+        """``s`` near the minimizer of :meth:`barrier`, ``sum_r 1 / (g_r -
+        s) = 1 / mu``: two Newton steps on the log of the least slack from
+        ``mu``, exact for one binding row or for equal rows."""
+        g = rows[2]
+        least = g.min(axis=-1)
+        gap = g - least[..., None]
+        y = mu = mu[:, None]
+        for _ in range(2):
+            inv = 1.0 / (gap + y[..., None])
+            total = inv.sum(axis=-1)
+            y = y * np.exp(np.log(total * mu) * total
+                           / (y * (inv * inv).sum(axis=-1)))
+        return least - y
 
-    A move shifts mass h from coordinate j to i within one state whose
-    transitions carry weight (``prog.movable``; moving another changes no
-    value), and is feasible when that state holds at least h of asset
-    j.  Each sweep takes the first of the best feasible moves (ordered
-    by state, then i, then j) if it gains more than 1e-15, and halves h
-    otherwise; the search ends when h falls below ``h_min``.
+    def barrier(self, x, s, mu, rows=None):
+        """``-sum_t w_t s_t`` less ``mu`` times the weighted logs of every
+        row's slack ``g_r - s_t`` and every movable coordinate, at tables
+        ``x`` with their :meth:`_rows` ``rows``; ``+inf`` outside."""
+        g, on = (self._rows(x) if rows is None else rows)[2:]
+        slack = np.where(on, np.log(g - s[..., None]), 0.0)
+        logs = (self.weight[:, None] * slack).reshape(len(x), -1).sum(-1) \
+            + (self.coord_weight * np.log(x.reshape(len(x), -1).take(
+                self.coords, axis=1))).sum(axis=-1)
+        phi = -(self.weight * s).sum(axis=-1) - mu * logs
+        return np.where(np.isnan(phi), np.inf, phi)
 
-    ``xs0`` is one ``(k, n)`` table, giving ``(table, float)``, or a
-    stack ``(S, k, n)`` of starts, giving ``(tables, (S,) values)``.  The
-    starts run in lockstep, each with its own h: a sweep builds the
-    moves of every running start in one broadcast and evaluates the
-    feasible ones as one stack, in chunks of at most
-    ``_SEARCH_CHUNK_ELEMENTS`` elements.  A table's value does not depend
-    on the stack it sits in, so each start's path is bit for bit the one
-    it takes alone.
-    """
-    single = np.ndim(xs0) == 2
-    xs = np.array(xs0, dtype=float, ndmin=3)
-    S, k, n = xs.shape
-    f_cur = _search_values(prog, xs)
-    moves = [(s, i, j) for s in np.flatnonzero(prog.movable)
-             for i in range(n) for j in range(n) if i != j]
-    delta = np.zeros((len(moves), k, n))  # unit moves
-    for m, (s, i, j) in enumerate(moves):
-        delta[m, s, i] = 1.0
-        delta[m, s, j] = -1.0
-    # source[c, m]: move m takes mass from cell c = (state, asset)
-    source = (delta < 0.0).reshape(len(delta), k * n).T
-    h = np.full(S, float(h0))
-    live = np.flatnonzero(h >= h_min) if moves else np.arange(0)
-    while live.size:
-        hl = h[live, None, None]
-        short = (xs[live] < hl - 1e-15).reshape(live.size, k * n)
-        feasible = ~(short @ source)
-        trials = np.maximum(xs[live, None] + hl[:, None] * delta, 0.0)
-        f_new = np.full(feasible.shape, -np.inf)
-        gain = np.full(feasible.shape, -np.inf)
-        if feasible.any():
-            f_new[feasible] = _search_values(prog, trials[feasible])
-            # a dead trial gains nothing, also from a dead start
-            np.subtract(f_new, f_cur[live, None], out=gain,
-                        where=f_new > -np.inf)
-        best = gain.argmax(axis=1)
-        row = np.arange(live.size)
-        moved = gain[row, best] > 1e-15
-        row, best = row[moved], best[moved]
-        xs[live[row]] = trials[row, best]
-        f_cur[live[row]] = f_new[row, best]
-        h[live[~moved]] *= 0.5
-        live = live[h[live] >= h_min]
-    return (xs[0], float(f_cur[0])) if single else (xs, f_cur)
+    def newton_step(self, x, s, mu, rows):
+        """Newton step ``(dx[:, 0], ds)`` of :meth:`barrier` on the simplex,
+        its decrement, and ``dx[:, 1]`` along the central path's tangent to
+        ``mu * _MU_FACTOR``.  The Hessian drops the curvature of ``-log D_r
+        x(v)``; ``s`` is eliminated; blocks add in transition order."""
+        M, k, n = x.shape
+        K = k * n
+        cap, load, g, on = rows
+        h = g - s[..., None]
+        q = np.where(on, mu[:, None, None] * self.weight[:, None], 0.0) / h
+        rho = q / h
+        sigma = rho.sum(axis=-1)
+        # per row, grad h = (C_r / cap, -D_r / load) on (x(u), x(v))
+        E = self.F / np.repeat(np.stack([cap, load], axis=-1), n, axis=-1)
+        Et = E.swapaxes(-1, -2)
+        b, grad = np.moveaxis(Et @ np.stack([rho, q], axis=-1), -1, 0)
+        B = (Et * rho[..., None, :]) @ E
+        B[..., :n, :n] += (Et[..., :n, :] * q[..., None, :]) @ E[..., :n]
+        B -= b[..., :, None] * (b / sigma[..., None])[..., None, :]
+        # the gradient in s, with and without the objective's
+        g_s = q.sum(axis=-1)[:, None] - [[1.0], [0.0]] * self.weight
+        gx = b[:, None] * (g_s / sigma[:, None])[..., None] - grad[:, None]
+        m = np.arange(M)[:, None, None, None]
+        G = np.bincount(((2 * m + np.arange(2)[:, None, None]) * K
+                         + self.pos).ravel(), gx.ravel(), 2 * M * K)
+        H = np.bincount((m * K * K + self.cell).ravel(), B.ravel(), M * K * K)
+        G, H = G.reshape(M, 2, K), H.reshape(M, K * K)
+        xm = x.reshape(M, K).take(self.coords, axis=1)
+        wc = mu[:, None] * self.coord_weight / xm
+        G[:, :, self.coords] -= wc[:, None]
+        H[:, self.coords * (K + 1)] += wc / xm
+        Z = self.simplex
+        Hr = Z.T @ H.reshape(M, K, K) @ Z
+        diag = Hr.reshape(M, -1)[:, ::Hr.shape[-1] + 1]
+        # relative ridge, as in the tree's Newton blocks
+        diag += 1e-14 * diag.max(axis=-1)[:, None]
+        dx = np.linalg.solve(Hr, -(G @ Z).swapaxes(-1, -2)).swapaxes(-1, -2) \
+            @ Z.T
+        ds = (b * dx[:, 0].take(self.pos, axis=1)).sum(axis=-1) - g_s[:, 0]
+        dec = (g_s[:, 0] ** 2 / sigma).sum(axis=-1) \
+            - (G[:, 0] * dx[:, 0]).sum(axis=-1)
+        dx[:, 1] *= _MU_FACTOR - 1.0
+        return dx.reshape(M, 2, k, n), ds / sigma, dec
 
 
-def _search_values(prog, xs):
-    """``prog.value`` of a stack of tables, in chunks of at most
-    ``_SEARCH_CHUNK_ELEMENTS`` (tables x ``prog.rows``)."""
-    size = max(1, _SEARCH_CHUNK_ELEMENTS // prog.rows)
-    return np.concatenate([prog.value(xs[i:i + size])
-                           for i in range(0, len(xs), size)])
+def _ascend(xs0, prog):
+    """The tables that damped Newton steps on the barrier reach from the
+    starts ``xs0`` ``(S, k, n)``, each on its own schedule in one batch,
+    ending bit for bit where it would alone.  A start first moves halfway
+    to the uniform table (a Newton step at most doubles a coordinate),
+    and ``s`` is centred before each step.  ``mu`` falls by
+    ``_MU_FACTOR`` from ``_MU_FACTOR`` to 1e-14, in one tangent step each
+    time half the decrement is at most ``mu / 10`` (a cut multiplies the
+    centring error by 100) or a stage has taken 40 steps.  Steps go at
+    most 0.99 of the way to a face and halve (Armijo), four lengths at a
+    time; a start that halves 60 times stops."""
+    S, k, n = xs0.shape
+    x = np.array(xs0, dtype=float)
+    if n == 1:
+        return x
+    x[:, prog.movable] = (x[:, prog.movable] + 1.0 / n) / 2.0
+    mu = np.full(S, _MU_FACTOR)
+    steps = np.zeros(S, dtype=int)
+    live = np.ones(S, dtype=bool)
+    ladder = 0.5 ** np.arange(4)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while live.any():
+            rows = prog._rows(x)
+            s = prog.centre(rows, mu)
+            dxs, ds, dec = prog.newton_step(x, s, mu, rows)
+            base = prog.barrier(x, s, mu, rows)
+            centred = (dec / 2.0 <= 0.1 * mu) | (steps >= 40)
+            last = mu * _MU_FACTOR < _MU_FINAL_FLOOR
+            cut = live & centred & ~last
+            live &= ~(centred & last)
+            dx = np.where(cut[:, None, None], dxs[:, 1], dxs[:, 0])
+            room = np.where(dx < 0.0, -x / dx, np.inf)
+            t = np.minimum(1.0, 0.99 * room.reshape(S, -1).min(axis=-1))
+            x[cut] += t[cut, None, None] * dx[cut]
+            mu[cut] *= _MU_FACTOR
+            steps = np.where(cut, 0, steps + (live & ~centred))
+            wait = np.flatnonzero(live & ~centred)
+            for _ in range(60 // len(ladder)):
+                if not wait.size:
+                    break
+                tw = t[wait, None] * ladder
+                tx = x[wait, None] + tw[..., None, None] * dx[wait, None]
+                ts = s[wait, None] + tw[..., None] * ds[wait, None]
+                phi = prog.barrier(tx.reshape(-1, k, n),
+                                   ts.reshape(-1, ts.shape[-1]),
+                                   np.repeat(mu[wait], len(ladder)))
+                ok = phi.reshape(tw.shape) \
+                    <= base[wait, None] - 0.25 * tw * dec[wait, None]
+                hit = ok.any(axis=1)
+                x[wait[hit]] = tx[hit, ok[hit].argmax(axis=1)]
+                t[wait] *= 0.5 ** len(ladder)
+                wait = wait[~hit]
+            live[wait] = False
+    return x
 
 
 def _polish(xs, prog):
-    """Newton steps from a searched table ``xs`` on the smooth piece of
-    the objective it lies on.
-
-    A search that compares values stops about 1e-8 off the optimum in
-    the proportions (gains of h^2 fall below rounding), and so off
-    support in the prices.  Each transition's factor is ``C_r x(u) / D_r
-    x(v)`` for its binding facet row r; with those rows fixed the
-    objective is smooth, and a step solves its Newton system on the
-    coordinates above 1e-6 of the states in ``prog.movable`` (the
-    others held at 0), each state summing to 1; a coordinate the step
-    would make negative is held at 0 too and the system solved again.
-    A step is kept when the value does not fall, so the table returned
-    is never worse than ``xs`` by more than rounding; at most 10 are
-    taken.
-    """
-    k, n = xs.shape
-    movable = prog.movable
-    live = [(w, prog.cones[t].facets, prog.src[t], prog.dest[t])
-            for w, t in zip(prog.weight, np.flatnonzero(prog.live))]
-
-    def binding(x):
-        """The binding facet row of each live transition at ``x``."""
-        rows = []
-        for _, (C, D), u, v in live:
-            load = D @ x[v]
-            rows.append(int(np.argmin(np.divide(
-                C @ x[u], load, out=np.full(load.shape, np.inf),
-                where=load > 0.0))))
-        return rows
-
-    def newton_step(g, H, free):
-        """The Newton table on the coordinates ``free``, the other
-        coordinates of movable states at 0."""
-        idx = np.flatnonzero(free)
-        # one sum per state (a state left without coordinates makes K
-        # singular)
-        A = (idx // n == np.flatnonzero(movable)[:, None]).astype(float)
-        m = idx.size
-        K = np.zeros((m + len(A), m + len(A)))
-        K[:m, :m] = H[np.ix_(idx, idx)]
-        K[:m, m:], K[m:, :m] = A.T, A
-        trial = np.where(movable[:, None] & ~free.reshape(k, n), 0.0, xs)
-        rhs = np.concatenate([-g[idx], 1.0 - A @ trial.ravel()[idx]])
-        trial.ravel()[idx] += np.linalg.solve(K, rhs)[:m]
-        return trial
-
-    f = prog.value(xs)
-    for _ in range(10):
-        g, H = np.zeros((k, n)), np.zeros((k, n, k, n))
-        for (w, (C, D), u, v), r in zip(live, binding(xs)):
-            c, d = C[r], D[r]
-            g[u] += w * c / (c @ xs[u])
-            g[v] -= w * d / (d @ xs[v])
-            H[u, :, u] -= w * np.outer(c, c) / (c @ xs[u]) ** 2
-            H[v, :, v] += w * np.outer(d, d) / (d @ xs[v]) ** 2
-        H = H.reshape(k * n, k * n)
-        # a relative ridge keeps flat directions (a linear objective on a
-        # face) finite: they run into a bound, and a coordinate the step
-        # drives negative is held at 0 for the next solve
-        H -= 1e-12 * np.abs(H).max() * np.eye(k * n)
-        free = (movable[:, None] & (xs > 1e-6)).ravel()
-        try:
-            while True:
-                trial = newton_step(g.ravel(), H, free)
-                neg = (trial < 0.0).ravel()
-                if not neg.any():
-                    break
-                free &= ~neg
-        except np.linalg.LinAlgError:
-            break
-        f_trial = prog.value(trial)
-        if f_trial < f - 1e-15:
-            break
-        done = np.abs(trial - xs).max() <= 1e-15
-        xs, f = trial, f_trial
-        if done:
-            break
-    return xs
+    """``xs`` with its movable coordinates at most 1e-6 (the ascent leaves
+    them near ``mu``) set to 0, unless that lowers the value."""
+    out = np.where(prog.movable[:, None] & (xs <= 1e-6), 0.0, xs)
+    out /= out.sum(axis=1, keepdims=True)
+    return out if prog.value(out) >= prog.value(xs) else xs
 
 
 def solve_stationary_equilibrium(spec: MarkovSpec, cone_table,
@@ -864,20 +865,14 @@ def solve_stationary_equilibrium(spec: MarkovSpec, cone_table,
     A balanced strategy holds proportions ``x(s)`` in state s and grows
     by ``a(u, v)``, the largest feasible scale from ``x(u)`` toward
     ``x(v)``, across each positive-probability transition u -> v.  Its
-    growth rate ``sum_u pi(u) sum_v P(u, v) log a(u, v)`` is maximized by
-    multistart pattern search over the proportions (start 0 is the
-    uniform portfolio; the rest are seeded Dirichlet draws, so results
-    are reproducible).  All starts are drawn first and searched in
-    lockstep (:func:`_pattern_search`); each ends where it would alone.
-    Taken in start order, a start replaces the best so far when its
-    growth is higher by more than 1e-12, and :func:`_polish` refines it.
-    A transient state carries no stationary weight, so the search leaves
-    it; then each transient class, the classes it reaches first, takes
-    the proportions of its best expected one-step growth, searched and
-    polished alike with every other state held.  The strategy stores
-    ``a`` as its transition factors and, per state, the least ``a``
-    into it.  Supporting prices and the certificate residual come from
-    the fixed-point iteration of :func:`extract_equilibrium_prices`.
+    rate ``sum_u pi(u) sum_v P(u, v) log a(u, v)`` is ascended from the
+    uniform table, ``starts - 1`` seeded Dirichlet draws and the ``n``
+    one-asset tables (:func:`_ascend`); after the one-asset tables as
+    they are, in start order, an end replaces the best when higher by
+    more than 1e-12, and the best is polished.  Each
+    transient class, after the classes it reaches, takes its best
+    one-step growth alike with the other states held.  Prices and the
+    certificate residual come from :func:`extract_equilibrium_prices`.
     """
     if starts < 1:
         raise ValueError(f"starts must be >= 1, got {starts}")
@@ -889,8 +884,11 @@ def solve_stationary_equilibrium(spec: MarkovSpec, cone_table,
 
     xs0 = [np.full((k, n), 1.0 / n)]
     xs0 += [rng.dirichlet(np.ones(n), size=k) for _ in range(starts - 1)]
+    xs0 += [np.tile(e, (k, 1)) for e in np.eye(n)]
+    # one-asset tables as they are first: an ascent must gain 1e-12 on them
+    ends = np.concatenate([xs0[-n:], _ascend(np.stack(xs0), prog)])
     best = (-np.inf, None)
-    for xs, f in zip(*_pattern_search(np.stack(xs0), prog)):
+    for xs, f in zip(ends, prog.value(ends)):
         if f > best[0] + 1e-12:
             best = (f, xs)
     if best[1] is None or not np.isfinite(best[0]):
@@ -904,7 +902,7 @@ def solve_stationary_equilibrium(spec: MarkovSpec, cone_table,
     for m in sorted(set(size[~closed])):
         group = np.flatnonzero(~closed & (size == m))
         one_step = _StationaryProgram(spec, cone_table, group)
-        xs = _polish(_pattern_search(xs, one_step)[0], one_step)
+        xs = _polish(_ascend(xs[None], one_step)[0], one_step)
     a = prog.factors(xs)
     alpha = prog.state_factors(a)
     states = spec.states
@@ -923,15 +921,6 @@ def solve_stationary_equilibrium(spec: MarkovSpec, cone_table,
         certificate_residual=residual,
         stationary={states[s]: float(pi[s]) for s in range(k)},
     )
-
-
-def _reach(P):
-    """``R[u, v]``: v is reachable from u (u itself included), and
-    ``closed[u]``: u's class is closed (u reaches back every state it
-    reaches)."""
-    k = len(P)
-    R = np.linalg.matrix_power(np.eye(k, dtype=bool) | (P > 0.0), k)
-    return R, (R <= R.T).all(axis=1)
 
 
 def extract_equilibrium_prices(strategy: BalancedStrategy,

@@ -1,10 +1,12 @@
-"""Lockstep multistart pattern search against the per-start loop.
+"""Batched stationary ascent against the one-start ascents run alone.
 
-``solver._pattern_search`` advances every start of a stack in lockstep
-and evaluates each sweep's trial tables as one stack, in chunks of
-``solver._SEARCH_CHUNK_ELEMENTS``.  The search it replaced ran one start
-at a time; that search and the multistart loop around it are kept here
-as the reference, and every result must equal theirs exactly.
+``solver._ascend`` runs every start of a stack in one batch, each start
+with its own barrier schedule.  A table's arithmetic does not depend on
+the batch it sits in, so the solve must equal, bit for bit, the best of
+the one-start ascents run one after another, picked in start order after
+the pure-asset tables as they are, and polished as the solver polishes.
+The starts are rebuilt here: the uniform table, the seeded Dirichlet
+draws, then the pure-asset tables.
 """
 
 import numpy as np
@@ -17,7 +19,7 @@ from vngale.scenario import MarkovSpec
 from vngale.solver import (
     EquilibriumResult,
     SolverError,
-    _pattern_search,
+    _ascend,
     _StationaryProgram,
     extract_equilibrium_prices,
     solve_stationary_equilibrium,
@@ -65,54 +67,21 @@ def _pair_chain():
                                             for s in names})
 
 
-def _search_one(xs0, prog, h0=0.25, h_min=1e-7):
-    """The pattern search of one start, one sweep at a time."""
-    xs = xs0.copy()
-    k, n = xs.shape
-    f_cur = prog.value(xs)
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    delta = np.zeros((k * len(pairs), k, n))
-    m = 0
-    for s in range(k):
-        for i, j in pairs:
-            delta[m, s, i] = 1.0
-            delta[m, s, j] = -1.0
-            m += 1
-    source = delta < 0.0
-    h = h0
-    while h >= h_min:
-        feasible = ((xs >= h - 1e-15) | ~source).all(axis=(1, 2))
-        best = None
-        if feasible.any():
-            trials = np.maximum(xs + h * delta[feasible], 0.0)
-            f_new = prog.value(trials)
-            with np.errstate(invalid="ignore"):
-                gain = f_new - f_cur
-            gain[np.isnan(gain)] = -np.inf
-            best = int(np.argmax(gain))
-            if not gain[best] > 1e-15:
-                best = None
-        if best is None:
-            h *= 0.5
-        else:
-            xs = trials[best]
-            f_cur = float(f_new[best])
-    return xs, f_cur
-
-
 def _starts(k, n, starts, seed):
     rng = np.random.default_rng(seed)
     out = [np.full((k, n), 1.0 / n)]
-    return out + [rng.dirichlet(np.ones(n), size=k)
-                  for _ in range(starts - 1)]
+    out += [rng.dirichlet(np.ones(n), size=k) for _ in range(starts - 1)]
+    return out + [np.tile(e, (k, 1)) for e in np.eye(n)]
 
 
 def _solve_loop(spec, table, starts, seed=0):
-    """``solve_stationary_equilibrium`` running one start after another."""
+    """``solve_stationary_equilibrium`` ascending one start at a time."""
     prog = _StationaryProgram(spec, table)
+    xs0 = _starts(spec.k, table.n, max(starts, 1), seed)
+    # the one-asset tables as they are, then every start's ascent
     best = (-np.inf, None)
-    for xs0 in _starts(spec.k, table.n, max(starts, 1), seed):
-        xs, f = _search_one(xs0, prog)
+    for xs in xs0[-table.n:] + [_ascend(x[None], prog)[0] for x in xs0]:
+        f = prog.value(xs)
         if f > best[0] + 1e-12:
             best = (f, xs)
     if best[1] is None or not np.isfinite(best[0]):
@@ -146,9 +115,7 @@ def _assert_same_result(spec, table, starts, seed=0):
 
 
 # (family, chain, n); costly cones on regime3 take two assets here and
-# three in the seed-1 test below.  Three no longer crawl: at 32 starts
-# the solve takes about 0.1 s and the per-start loop about 0.6 s
-# (2-core x86_64)
+# three in the seed-1 test below
 CASES = [(family, chain, 2 if (family, chain) == ("proportional_tc",
                                                  "regime3") else 3)
          for family in ("frictionless", "proportional_tc", "currency")
@@ -172,16 +139,11 @@ def test_pair_chain_equals_per_start_loop():
     _assert_same_result(spec, table, 4)
 
 
-def _assert_rows_equal(xs0, prog, **kw):
-    xs, f = _pattern_search(xs0, prog, **kw)
-    assert xs.shape == xs0.shape and f.shape == (len(xs0),)
+def _assert_rows_equal(xs0, prog):
+    xs = _ascend(xs0, prog)
+    assert xs.shape == xs0.shape
     for s in range(len(xs0)):
-        xs_ref, f_ref = _search_one(xs0[s], prog, **kw)
-        np.testing.assert_array_equal(xs[s], xs_ref)
-        assert f[s] == f_ref
-        xs_one, f_one = _pattern_search(xs0[s], prog, **kw)
-        np.testing.assert_array_equal(xs_one, xs_ref)
-        assert isinstance(f_one, float) and f_one == f_ref
+        np.testing.assert_array_equal(xs[s], _ascend(xs0[s:s + 1], prog)[0])
 
 
 @pytest.mark.parametrize("family", ["frictionless", "proportional_tc",
@@ -190,10 +152,7 @@ def _assert_rows_equal(xs0, prog, **kw):
 def test_stacked_search_equals_per_start_rows(family, chain):
     spec = CHAINS[chain]
     prog = _StationaryProgram(spec, _table(family, spec))
-    xs0 = np.stack(_starts(spec.k, 3, 6, 3))
-    _assert_rows_equal(xs0, prog)
-    # a coarser stopping size
-    _assert_rows_equal(xs0, prog, h_min=1e-3)
+    _assert_rows_equal(np.stack(_starts(spec.k, 3, 6, 3)), prog)
 
 
 def test_stacked_search_single_asset_returns_its_starts():
@@ -201,15 +160,14 @@ def test_stacked_search_single_asset_returns_its_starts():
     prog = _StationaryProgram(spec, ConeTable(
         {"*->*": ConeSpec.proportional_tc([1.1], 0.01, 0.02)}))
     xs0 = np.ones((4, 3, 1))
-    xs, f = _pattern_search(xs0, prog)
-    np.testing.assert_array_equal(xs, xs0)
-    np.testing.assert_array_equal(f, prog.value(xs0))
+    np.testing.assert_array_equal(_ascend(xs0, prog), xs0)
     _assert_rows_equal(xs0, prog)
 
 
 def test_stacked_search_with_a_dead_start():
     # asset 1 cannot be sold: a state holding only asset 1 cannot reach
-    # a state holding only asset 0, so that start has value -inf
+    # a state holding only asset 0, so that start has value -inf; the
+    # ascent starts inside the simplex and lifts it like any other
     spec = CHAINS["coin"]
     cone = ConeSpec.proportional_tc([1.0, 1.3], 0.01, [0.02, 1.0])
     prog = _StationaryProgram(spec, ConeTable({"*->*": cone}))
@@ -217,6 +175,7 @@ def test_stacked_search_with_a_dead_start():
     assert prog.value(dead) == -np.inf
     xs0 = np.stack([dead, np.full((2, 2), 0.5), dead[::-1]])
     _assert_rows_equal(xs0, prog)
+    assert np.isfinite(prog.value(_ascend(xs0, prog))).all()
 
 
 @pytest.mark.parametrize("family,chain", [
@@ -224,40 +183,35 @@ def test_stacked_search_with_a_dead_start():
     ("currency", "regime3"),
     ("frictionless", "skew3"),
 ])
-def test_chunk_boundaries_change_nothing(monkeypatch, family, chain):
+def test_chunk_boundaries_change_nothing(family, chain):
+    # the stack ascended in chunks of three starts ends where it ends
+    # as one batch
     spec = CHAINS[chain]
-    table = _table(family, spec)
-    prog = _StationaryProgram(spec, table)
+    prog = _StationaryProgram(spec, _table(family, spec))
     xs0 = np.stack(_starts(spec.k, 3, 8, 0))
-    xs, f = _pattern_search(xs0, prog)
-    eq = solve_stationary_equilibrium(spec, table, starts=8).to_dict()
-    # three tables per chunk: every sweep crosses chunk boundaries
-    monkeypatch.setattr(solver, "_SEARCH_CHUNK_ELEMENTS", 3 * prog.rows)
-    xs_c, f_c = _pattern_search(xs0, prog)
-    np.testing.assert_array_equal(xs_c, xs)
-    np.testing.assert_array_equal(f_c, f)
-    assert solve_stationary_equilibrium(spec, table,
-                                        starts=8).to_dict() == eq
+    whole = _ascend(xs0, prog)
+    chunks = np.concatenate([_ascend(xs0[i:i + 3], prog)
+                             for i in range(0, len(xs0), 3)])
+    np.testing.assert_array_equal(chunks, whole)
 
 
 def test_lockstep_takes_one_stacked_evaluation_per_sweep(monkeypatch):
+    # the batch solves one stacked Newton system per step, and runs as
+    # many steps as its slowest start
     spec = CHAINS["coin"]
     prog = _StationaryProgram(spec, _table("proportional_tc", spec))
     xs0 = np.stack(_starts(spec.k, 3, 8, 0))
-    moves = (spec.k + 1) * 3 * 2
-    assert len(xs0) * moves * prog.rows <= solver._SEARCH_CHUNK_ELEMENTS
     calls = []
-    value = _StationaryProgram.value
-    monkeypatch.setattr(_StationaryProgram, "value",
-                        lambda self, xs: calls.append(1) or value(self, xs))
-    sweeps = []
+    step = _StationaryProgram.newton_step
+    monkeypatch.setattr(_StationaryProgram, "newton_step",
+                        lambda self, *a: calls.append(len(a[0]))
+                        or step(self, *a))
+    alone = []
     for start in xs0:
         calls.clear()
-        _search_one(start, prog)
-        # every sweep has a feasible move (some asset holds >= 1/3 > h),
-        # so each sweep is one call after the start's own
-        sweeps.append(len(calls) - 1)
+        _ascend(start[None], prog)
+        alone.append(len(calls))
     calls.clear()
-    _pattern_search(xs0, prog)
-    assert len(calls) <= max(sweeps) + 1
-    assert sum(sweeps) > 4 * max(sweeps)
+    _ascend(xs0, prog)
+    assert calls == [len(xs0)] * max(alone)
+    assert sum(alone) > 4 * max(alone)

@@ -1,10 +1,8 @@
-"""Stacked evaluation of the stationary pattern search.
+"""Stacked evaluation of the stationary growth.
 
 ``cones._boundary_scale`` takes a stack of pairs and
 ``solver._StationaryProgram`` a stack of proportion tables; each stacked
-value must equal the value of its own pair or table.  The pattern search
-evaluates a whole sweep as one stack; the one-trial-at-a-time loop it
-replaced is kept here as the reference.
+value must equal the value of its own pair or table.
 """
 
 import numpy as np
@@ -15,7 +13,7 @@ from vngale.certify import asymptotic_dominance
 from vngale.cones import ConeSpec, ConeTable, _boundary_scale
 from vngale.plans import BalancedStrategy
 from vngale.scenario import MarkovSpec, sample_paths
-from vngale.solver import _StationaryProgram, _pattern_search
+from vngale.solver import _StationaryProgram, _ascend
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None)
@@ -165,75 +163,13 @@ def test_factors_equal_one_call_per_transition(data):
                                       np.where(a < np.inf, a, 1.0))
 
 
-def _pattern_search_loop(xs0, prog, h0=0.25, h_min=1e-7):
-    """The pattern search evaluating one trial table at a time."""
-    xs = xs0.copy()
-    k, n = xs.shape
-    f_cur = prog.value(xs)
-    scopes = [(s,) for s in range(k)]
-    if k > 1:
-        scopes.append(tuple(range(k)))
-    h = h0
-    while h >= h_min:
-        best_gain = 1e-15
-        best_move = None
-        for scope in scopes:
-            for i in range(n):
-                for j in range(n):
-                    if i == j:
-                        continue
-                    if any(xs[s, j] < h - 1e-15 for s in scope):
-                        continue
-                    trial = xs.copy()
-                    for s in scope:
-                        trial[s, i] += h
-                        trial[s, j] = max(trial[s, j] - h, 0.0)
-                    f_new = prog.value(trial)
-                    if f_new - f_cur > best_gain:
-                        best_gain = f_new - f_cur
-                        best_move = trial
-        if best_move is None:
-            h *= 0.5
-        else:
-            xs = best_move
-            f_cur = prog.value(xs)
-    return xs, f_cur
-
-
-@pytest.mark.parametrize("family,k,n,seed", [
-    ("frictionless", 2, 3, 0),
-    ("frictionless", 3, 2, 1),
-    ("proportional_tc", 2, 2, 2),
-    ("proportional_tc", 2, 3, 3),
-    ("proportional_tc", 3, 2, 4),
-    ("proportional_tc", 1, 4, 5),
-    ("currency", 1, 3, 6),
-    ("currency", 2, 2, 7),
-])
-def test_pattern_search_matches_loop(family, k, n, seed):
-    spec = _chain(k)
-    prog = _StationaryProgram(spec, _table(family, spec, n, seed))
-    rng = np.random.default_rng(seed)
-    starts = [np.full((k, n), 1.0 / n), rng.dirichlet(np.ones(n), size=k)]
-    h_min = 1e-4 if family == "currency" else 1e-7
-    for xs0 in starts:
-        xs, f = _pattern_search(xs0, prog, h_min=h_min)
-        xs_ref, f_ref = _pattern_search_loop(xs0, prog, h_min=h_min)
-        assert f == pytest.approx(f_ref, abs=1e-12)
-        assert f == pytest.approx(prog.value(xs), abs=1e-15)
-        assert (xs >= 0).all()
-        np.testing.assert_allclose(xs.sum(axis=1), 1.0, atol=1e-12)
-
-
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_single_asset_search_returns_its_start(k):
+def test_single_asset_ascent_returns_its_start(k):
     spec = _chain(k)
     table = ConeTable({"*->*": ConeSpec.proportional_tc([1.1], 0.01, 0.02)})
     prog = _StationaryProgram(spec, table)
-    xs0 = np.ones((k, 1))
-    xs, f = _pattern_search(xs0, prog)
-    np.testing.assert_array_equal(xs, xs0)
-    assert f == prog.value(xs0)
+    xs0 = np.ones((1, k, 1))
+    np.testing.assert_array_equal(_ascend(xs0, prog), xs0)
 
 
 def test_dominance_competitors_keep_their_draws():
