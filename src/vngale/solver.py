@@ -21,24 +21,27 @@ returned, so the stages before it are centred loosely
 centred, not just the probability-weighted sum: each node's share of
 the Newton decrement, over its probability, is held to the stage's
 tolerance, else a node of probability 5e-10 can stay far off its
-path while the weighted decrement is tiny.  A solve takes 14-38 Newton steps
-on trees of up to 8191 nodes.  Each Newton
-system is assembled with one matrix product per group of edges sharing a
-cone, and eliminated leaf-to-root over the breadth-first node ids: a
-depth is one id slice, each node's block couples only its parent, and
-what a node receives from its children is a sum over their consecutive
-ids.  The edge groups and their per-depth pieces live in ``cones``, one
-layout with the certificate (``_group_edges``, ``_by_depth``); on a
-dense chain they are evenly spaced ids, indexed as basic slices, and
-where every node of a depth has c children a child sum adds the c slots
-of a reshape view in child order (``np.add.reduceat`` otherwise).
-A depth's n x n blocks are solved by one LAPACK call each while
-the depth is narrow.  From ``_BATCH_LAST_WIDTH`` nodes on (8-256 by n,
-up to n = 12), the depth is laid out batch-last, ``(n, 2n + 1, nodes)``,
-and reduced by Gauss-Jordan elimination, each row operation one vector
-operation over all its nodes.  The blocks are SPD after a relative
-ridge, so no pivoting is needed, and a pivot that is not finite and
-positive raises :class:`SolverError`.
+path while the weighted decrement is tiny.  Each Newton step is cut to
+0.95 of the way to the boundary, with no line search, as in primal-dual
+interior-point methods: a backtracking test on the weighted barrier sum
+cannot see a node of probability 1e-10, whose terms lie below the sum's
+rounding.  A solve takes 14-37 Newton steps on trees of up to 8191
+nodes.  Each Newton system is assembled with one matrix product per
+group of edges sharing a cone, and eliminated leaf-to-root over the
+breadth-first node ids: a depth is one id slice, each node's block
+couples only its parent, and what a node receives from its children is a
+sum over their consecutive ids.  The edge groups and their per-depth
+pieces live in ``cones``, one layout with the certificate
+(``_group_edges``, ``_by_depth``); on a dense chain they are evenly
+spaced ids, indexed as basic slices, and where every node of a depth has
+c children a child sum adds the c slots of a reshape view in child order
+(``np.add.reduceat`` otherwise).  A depth's n x n blocks are solved by
+one LAPACK call each while the depth is narrow.  From
+``_BATCH_LAST_WIDTH`` nodes on (8-256 by n, up to n = 12), the depth is
+laid out batch-last, ``(n, 2n + 1, nodes)``, and reduced by Gauss-Jordan
+elimination, each row operation one vector operation over all its nodes.
+The blocks are SPD after a relative ridge, so no pivoting is needed, and
+a pivot that is not finite and positive raises :class:`SolverError`.
 Steps are linear-time in the node count.  Barrier iterates are strictly
 feasible, so the returned plan is exactly self-financing.
 
@@ -251,33 +254,12 @@ class _TreeProgram:
             raise SolverError("terminal wealth collapsed to zero")
         return float(self.leaf_prob @ np.log(vals))
 
-    def phi(self, Y, mu, vals=None, rows=None):
-        """Barrier objective (to minimize); +inf outside the interior.
-        ``vals`` (terminal values) and ``rows`` (every group's residual
-        rows) are computed from ``Y`` unless the caller holds them."""
-        if vals is None:
-            vals = (self.leaf_w * Y[self.leaves]).sum(axis=1)
-        if (vals <= _WEALTH_FLOOR).any():
-            return np.inf
-        total = -float(self.leaf_prob @ np.log(vals))
-        if (Y[1:] <= 0.0).any():
-            return np.inf
-        prob = self.tree.abs_prob
-        total -= mu * float(prob[1:] @ np.log(Y[1:]).sum(axis=1))
-        if rows is None:
-            rows = [g.residual_rows(Y) for g in self.groups]
-        for g, r in zip(self.groups, rows):
-            if (r >= 0.0).any():
-                return np.inf
-            total -= mu * float(prob[g.at] @ np.log(-r).sum(axis=1))
-        return total
-
     def _assemble(self, Y, mu, objective=True):
         """Newton system of the barrier at ``(Y, mu)``: the gradient
         ``G``, the diagonal blocks ``H``, each node's coupling ``CP`` to
-        its parent, and the terminal values and residual rows ``phi``
-        takes.  ``objective=False`` leaves the terminal objective's
-        gradient out of ``G`` (its Hessian stays)."""
+        its parent, the terminal values, and every group's residual rows
+        (which bound the step).  ``objective=False`` leaves the terminal
+        objective's gradient out of ``G`` (its Hessian stays)."""
         n = self.n
         N = Y.shape[0]
         G = np.zeros((N, n))
@@ -331,24 +313,20 @@ class _TreeProgram:
         return t_max
 
     def newton_step(self, Y, mu):
-        """One damped Newton step on the barrier; returns the updated
-        state, the Newton decrement and the largest node's share of it
-        per unit of that node's probability."""
-        G, H, CP, vals, rows = self._assemble(Y, mu)
+        """One Newton step on the barrier, cut to 0.95 of the way to the
+        boundary with no line search (Wright, *Primal-Dual Interior-Point
+        Methods*, SIAM 1997); returns the updated state, the Newton
+        decrement and the largest node's share of it per unit of that
+        node's probability.  A decrement that is not finite raises
+        :class:`SolverError`."""
+        G, H, CP, _, rows = self._assemble(Y, mu)
         dY, decrement, worst = self._solve_kkt_by_depth(G, H, CP)
+        if not np.isfinite(decrement):
+            raise SolverError(f"Newton step is not finite at mu = {mu:g}")
         if decrement <= 0:
             return Y, 0.0, 0.0
-        t = min(1.0, 0.99 * self._max_step(Y, dY, rows))
-
-        # Armijo backtracking on the barrier objective
-        base = self.phi(Y, mu, vals, rows)
-        slope = -decrement
-        for _ in range(60):
-            Yn = Y + t * dY
-            if self.phi(Yn, mu) <= base + 0.25 * t * slope:
-                return Yn, decrement, worst
-            t *= 0.5
-        raise SolverError("line search failed to make progress")
+        return (Y + min(1.0, 0.95 * self._max_step(Y, dY, rows)) * dY,
+                decrement, worst)
 
     def predictor_step(self, Y, mu, mu_next):
         """One step along the central-path tangent from ``mu`` to
@@ -494,9 +472,9 @@ def solve_tree_log_optimal(tree: ScenarioTree, cone_table, x0,
     ``mu_final``, the only stage when ``mu_final >= 0.01``.  The start
     keeps the fraction ``k / (k + 1)`` of each edge's boundary scale,
     ``k = (H - d + 1) (n + 1)`` at depth ``d``.
-    Each stage takes damped Newton steps (Armijo backtracking from 0.99
-    of the way to the boundary, or the full step when nothing blocks
-    it), at most 40, until half the squared Newton decrement is small:
+    Each stage takes Newton steps, each cut to 0.95 of the way to the
+    boundary (the full step when that lies beyond it) with no line
+    search, at most 40, until half the squared Newton decrement is small:
     at most ``_MID_STAGE_DECREMENT * mu`` (3 mu, a barrier-scaled
     decrement ``lambda^2 / mu <= 6``) in a stage above ``mu_final``,
     and at most ``max(1e-13, 1e-3 * mu_final)`` in the last stage.  The
@@ -508,7 +486,8 @@ def solve_tree_log_optimal(tree: ScenarioTree, cone_table, x0,
     ``mu`` to ``mu'`` first takes one predictor step along the
     central-path tangent,
     ``(1 - mu'/mu) H^-1 (mu grad barrier)``, cut to 0.99 of the way to
-    the boundary; it counts in ``iterations``.
+    the boundary; it counts in ``iterations``.  A Newton decrement or a
+    final plan that is not finite raises :class:`SolverError`.
 
     ``mu_final`` must be finite and at least ``_MU_FINAL_FLOOR`` (1e-15,
     about 4.5 units of double rounding), else :class:`ValueError` is
@@ -556,15 +535,15 @@ def solve_tree_log_optimal(tree: ScenarioTree, cone_table, x0,
         iterations += 1
         mu = mu_next
 
+    # feasibility audit: barrier iterates must be strictly inside, and a
+    # plan that is not finite (its rows read nan) fails it too
+    worst = max(float(g.residual_rows(X).max()) for g in prog.groups)
+    if not worst <= 1e-8:
+        raise SolverError(f"plan left the feasible set: residual {worst}")
     plan = ContingentPlan(tree, X, units=(
         "physical" if any(g.cone.family == CURRENCY for g in prog.groups)
         else "market"))
     value = prog.objective_value(X)
-
-    # feasibility audit: barrier iterates must be strictly inside
-    worst = max(float(g.residual_rows(X).max()) for g in prog.groups)
-    if worst > 1e-8:
-        raise SolverError(f"plan left the feasible set: residual {worst}")
 
     if not extract_dual:
         return TreeSolveResult(plan, None, value, float("nan"), iterations)
