@@ -22,10 +22,10 @@ centred, not just the probability-weighted sum: each node's share of
 the Newton decrement, over its probability, is held to the stage's
 tolerance, else a node of probability 5e-10 can stay far off its
 path while the weighted decrement is tiny.  Each Newton step is cut to
-0.95 of the way to the boundary, with no line search, as in primal-dual
+0.99 of the way to the boundary, with no line search, as in primal-dual
 interior-point methods: a backtracking test on the weighted barrier sum
 cannot see a node of probability 1e-10, whose terms lie below the sum's
-rounding.  A solve takes 14-37 Newton steps on trees of up to 8191
+rounding.  A solve takes 14-38 Newton steps on trees of up to 8191
 nodes.  Each Newton system is assembled with one matrix product per
 group of edges sharing a cone, and eliminated leaf-to-root over the
 breadth-first node ids: a depth is one id slice, each node's block
@@ -313,7 +313,7 @@ class _TreeProgram:
         return t_max
 
     def newton_step(self, Y, mu):
-        """One Newton step on the barrier, cut to 0.95 of the way to the
+        """One Newton step on the barrier, cut to 0.99 of the way to the
         boundary with no line search (Wright, *Primal-Dual Interior-Point
         Methods*, SIAM 1997); returns the updated state, the Newton
         decrement and the largest node's share of it per unit of that
@@ -325,7 +325,7 @@ class _TreeProgram:
             raise SolverError(f"Newton step is not finite at mu = {mu:g}")
         if decrement <= 0:
             return Y, 0.0, 0.0
-        return (Y + min(1.0, 0.95 * self._max_step(Y, dY, rows)) * dY,
+        return (Y + min(1.0, 0.99 * self._max_step(Y, dY, rows)) * dY,
                 decrement, worst)
 
     def predictor_step(self, Y, mu, mu_next):
@@ -472,7 +472,7 @@ def solve_tree_log_optimal(tree: ScenarioTree, cone_table, x0,
     ``mu_final``, the only stage when ``mu_final >= 0.01``.  The start
     keeps the fraction ``k / (k + 1)`` of each edge's boundary scale,
     ``k = (H - d + 1) (n + 1)`` at depth ``d``.
-    Each stage takes Newton steps, each cut to 0.95 of the way to the
+    Each stage takes Newton steps, each cut to 0.99 of the way to the
     boundary (the full step when that lies beyond it) with no line
     search, at most 40, until half the squared Newton decrement is small:
     at most ``_MID_STAGE_DECREMENT * mu`` (3 mu, a barrier-scaled

@@ -1,4 +1,4 @@
-"""The tree solver's Newton step: cut at 0.95 of the way to the boundary,
+"""The tree solver's Newton step: cut at 0.99 of the way to the boundary,
 with no line search.
 
 A backtracking test on the probability-weighted barrier cannot see a
@@ -50,6 +50,59 @@ def test_rare_chain_stages_end_before_their_cap(monkeypatch):
     assert min(steps) == 1e-12
     assert max(steps.values()) < 40, steps
     assert res.kkt_residual <= 1e-10
+    rep = check_rapid(res.plan, res.dual, table)
+    assert rep.passed, rep.to_dict()
+
+
+# currency n = 5 on rare three-state chains, H = 6, liquidation: nodes of
+# probability down to 1e-18 (p = 1e-3) and 1e-24 (p = 1e-4) cut every
+# step from mu = 1e-6 on, and which models of this class certify flips
+# with the boundary fraction.  Both certify with the Armijo search and
+# with the 0.99 cut, and fail with a 0.95 cut (kkt 0.09 and 0.10).
+LOST_AT_095 = {
+    "p1e-3": (1e-3, {
+        "A": [[1.0, 1.158, 1.722, 0.905, 1.248],
+              [0.74, 1.0, 1.365, 0.749, 1.082],
+              [0.518, 0.638, 1.0, 0.503, 0.672],
+              [0.974, 1.206, 1.793, 1.0, 1.374],
+              [0.668, 0.856, 1.228, 0.696, 1.0]],
+        "B": [[1.0, 0.727, 1.638, 0.876, 0.833],
+              [1.238, 1.0, 2.121, 1.126, 1.02],
+              [0.575, 0.454, 1.0, 0.563, 0.484],
+              [0.991, 0.786, 1.753, 1.0, 0.896],
+              [1.169, 0.853, 1.845, 1.099, 1.0]],
+        "C": [[1.0, 0.915, 0.553, 0.492, 0.5],
+              [1.022, 1.0, 0.638, 0.546, 0.576],
+              [1.553, 1.445, 1.0, 0.856, 0.852],
+              [1.746, 1.605, 1.13, 1.0, 0.96],
+              [1.802, 1.714, 1.093, 0.893, 1.0]]}),
+    "p1e-4": (1e-4, {
+        "A": [[1.0, 1.096, 0.904, 1.677, 0.99],
+              [0.822, 1.0, 0.706, 1.295, 0.805],
+              [0.99, 1.285, 1.0, 1.761, 1.142],
+              [0.561, 0.691, 0.5, 1.0, 0.595],
+              [0.936, 1.106, 0.855, 1.579, 1.0]],
+        "B": [[1.0, 1.261, 0.949, 1.192, 1.907],
+              [0.662, 1.0, 0.673, 0.809, 1.297],
+              [0.922, 1.311, 1.0, 1.121, 1.845],
+              [0.756, 1.106, 0.787, 1.0, 1.433],
+              [0.491, 0.702, 0.479, 0.578, 1.0]],
+        "C": [[1.0, 0.637, 0.693, 1.034, 0.808],
+              [1.352, 1.0, 0.973, 1.4, 1.15],
+              [1.282, 0.909, 1.0, 1.385, 1.125],
+              [0.922, 0.603, 0.663, 1.0, 0.75],
+              [1.198, 0.808, 0.858, 1.271, 1.0]]}),
+}
+
+
+@pytest.mark.parametrize("p, mus", LOST_AT_095.values(), ids=LOST_AT_095)
+def test_rare_currency_chains_certify(p, mus):
+    spec = MarkovSpec(["A", "B", "C"], [[1 - 2 * p, p, p]] * 3)
+    table = ConeTable({f"*->{s}": ConeSpec.currency(m)
+                       for s, m in mus.items()})
+    res = solve_tree_log_optimal(build_tree(spec, 6), table,
+                                 np.full(5, 0.2), "liquidation")
+    assert res.kkt_residual <= 1e-6
     rep = check_rapid(res.plan, res.dual, table)
     assert rep.passed, rep.to_dict()
 
