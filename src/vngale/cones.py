@@ -708,7 +708,8 @@ def validate_assumptions(cone_table, samples: int = 200, seed: int = 0,
 
     Every condition is decided exactly on the facet rows ``(C, D)`` and
     the exchange matrix ``G``, without sampling and without a linear
-    program: g1 by membership of ``(e_i, 0)``, g2 on the generating
+    program: g1 by membership of ``(e_i, 0)`` (one stacked membership
+    product per cone over the units i), g2 on the generating
     rays ``(e_j, G[i, j] e_i)`` (so ``G.max() <= M``), g4 by the sign of
     ``D``, g5 by the unit growth factors, one stacked boundary scale.
     ``samples`` and ``seed`` are unused.  Returns a report; callers
@@ -723,11 +724,12 @@ def validate_assumptions(cone_table, samples: int = 200, seed: int = 0,
     for key, cone in items:
         label = "->".join(key) if isinstance(key, tuple) else str(key)
         n = cone.n
-        for i, e in enumerate(np.eye(n)):
-            if not contains(cone, e, np.zeros(n), tol):
-                g1_ok = False
-                violations.append({"condition": "g1", "cone": label,
-                                   "witness": {"unit": i}})
+        # (e_i, 0) per unit i, as contains decides each pair
+        units = _membership_residual(cone, np.eye(n), np.zeros((n, n)))
+        for i in np.flatnonzero(~(units <= tol)).tolist():
+            g1_ok = False
+            violations.append({"condition": "g1", "cone": label,
+                               "witness": {"unit": i}})
         M = _uniform_bound(cone)
         M_bound = max(M_bound, M)
         # largest gamma with (e_i, gamma * ones) in the cone, per unit i

@@ -321,22 +321,20 @@ def conditional_expectation(tree: ScenarioTree, f: dict, t: int) -> dict:
 
     ``f`` maps every depth-(t+1) node id to a vector (or scalar); returns
     the map sending each depth-t node to the probability-weighted sum of
-    ``f`` over its children.  Exact arithmetic, no sampling.
+    ``f`` over its children.  No sampling: the children are summed by
+    :func:`_child_sums`, bit for bit as :meth:`DualPlan.expected_next`
+    sums them.
     """
     if not 0 <= t < tree.horizon:
         raise ValueError(f"depth {t} has no children layer")
-    out = {}
-    for v in tree.nodes_at_depth(t):
-        kids = tree.children(v)
-        acc = None
-        for c in kids:
-            c = int(c)
-            if c not in f:
-                raise KeyError(f"f is missing child node {c}")
-            term = tree.cond_prob[c] * np.asarray(f[c], dtype=float)
-            acc = term if acc is None else acc + term
-        out[int(v)] = acc
-    return out
+    kids = tree.nodes_at_depth(t + 1)
+    try:
+        F = np.array([f[c] for c in kids.tolist()], dtype=float)
+    except KeyError as err:
+        raise KeyError(f"f is missing child node {err.args[0]}") from None
+    w = tree.cond_prob[kids].reshape(-1, *(1,) * (F.ndim - 1))
+    lo, hi = int(tree.depth_start[t]), int(tree.depth_start[t + 1])
+    return dict(zip(range(lo, hi), _child_sums(tree, w * F, lo, hi)))
 
 
 def sample_paths(spec: MarkovSpec, length: int, count: int,

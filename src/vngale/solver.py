@@ -661,12 +661,9 @@ class _StationaryProgram:
     def state_factors(self, a):
         """alpha[..., v]: the least factor ``a`` of a transition into v
         (1 without any)."""
-        alpha = np.ones(a.shape[:-1] + (self.k,))
-        for v in range(self.k):
-            into = self.dest == v
-            if into.any():
-                alpha[..., v] = a[..., into].min(axis=-1)
-        return alpha
+        into = self.dest == np.arange(self.k)[:, None]
+        least = np.where(into, a[..., None, :], np.inf).min(axis=-1)
+        return np.where(into.any(axis=1), least, 1.0)
 
     def growth_factors(self, xs):
         """:meth:`state_factors` of the table or stack ``xs``."""
@@ -861,11 +858,11 @@ def solve_stationary_equilibrium(spec: MarkovSpec, cone_table,
     pi = prog.pi
     rng = np.random.default_rng(seed)
 
-    xs0 = [np.full((k, n), 1.0 / n)]
-    xs0 += [rng.dirichlet(np.ones(n), size=k) for _ in range(starts - 1)]
-    xs0 += [np.tile(e, (k, 1)) for e in np.eye(n)]
+    xs0 = np.concatenate([np.full((1, k, n), 1.0 / n),
+                          rng.dirichlet(np.ones(n), size=(starts - 1, k)),
+                          np.repeat(np.eye(n)[:, None], k, axis=1)])
     # one-asset tables as they are first: an ascent must gain 1e-12 on them
-    ends = np.concatenate([xs0[-n:], _ascend(np.stack(xs0), prog)])
+    ends = np.concatenate([xs0[-n:], _ascend(xs0, prog)])
     best = (-np.inf, None)
     for xs, f in zip(ends, prog.value(ends)):
         if f > best[0] + 1e-12:

@@ -109,6 +109,20 @@ def test_exact_g2_g4_witnesses(bad_key):
         assert wit[0]["witness"]["row"] == 0
 
 
+def test_exact_g1_witnesses_in_unit_order():
+    # no constructor breaks g1 either: add a facet row whose slack at
+    # (e_i, 0) is -C[r, i], positive for units 0 and 2 only
+    cone = ConeSpec.proportional_tc([1.0, 1.2, 0.9], 0.01, 0.01)
+    C, D = cone.facets
+    cone.__dict__["facets"] = (np.vstack([C, [-1.0, 0.0, -0.5]]),
+                               np.vstack([D, np.zeros(3)]))
+    rep = validate_assumptions({"*->*": cone})
+    assert not rep.g1_ok
+    wit = [v for v in rep.violations if v["condition"] == "g1"]
+    assert [v["witness"] for v in wit] == [{"unit": 0}, {"unit": 2}]
+    assert {v["cone"] for v in wit} == {"*->*"}
+
+
 def test_full_friction_fails_growth_only():
     # a zero sell rate leaves a zero in the budget rows; disposal and the
     # bound still hold, only the growth conditions fail
