@@ -34,7 +34,7 @@ from .cones import (
     boundary_scale,  # not called here; perfbench/tracing.py wraps both
     dual_violation,
 )
-from .plans import ContingentPlan, DualPlan, _step_factors
+from .plans import ContingentPlan, DualPlan, _node_dots, _step_factors
 from .scenario import MarkovSpec, ScenarioTree, sample_paths
 from .solver import _StationaryProgram
 
@@ -125,10 +125,8 @@ def _require_same_tree(tree: ScenarioTree, y, dual) -> None:
 
 
 def _deflated_gain(ahead, prices, y, y_parent):
-    """``E(p_next . y) - p . y_parent`` for stacks of node rows, with one
-    dot product per node and plan, as the single-node formula takes it."""
-    return ((ahead[..., None, :] @ y[..., :, None])
-            - (prices[..., None, :] @ y_parent[..., :, None]))[..., 0, 0]
+    """``E(p_next . y) - p . y_parent`` for stacks of node rows."""
+    return _node_dots(ahead, y) - _node_dots(prices, y_parent)
 
 
 def supermartingale_defect(dual: DualPlan, y: ContingentPlan,
@@ -228,7 +226,8 @@ def _running_max(best, values):
 
 def _worst(tree: ScenarioTree, residual) -> dict:
     """The node of depth >= 1 with the largest residual (``residual[v-1]``
-    belongs to node ``v``), named by its state path."""
+    belongs to node ``v``), named by its state path; the first on ties,
+    as ``max`` over the node map takes it, the sign of a zero included."""
     v = int(np.argmax(residual)) + 1
     labels = ["*" if tree.state[u] < 0 else tree.spec.states[tree.state[u]]
               for u in tree.path_to(v)]
@@ -242,7 +241,8 @@ def check_rapid(plan: ContingentPlan, dual: DualPlan, cone_table,
 
     Checks, node by node with exact conditional expectations:
 
-    * support: ``p . x_prev = 1`` within ``tol``;
+    * support: ``p . x_prev = 1`` within ``tol`` (for a tree solve's
+      plan and least dual, the largest is its ``kkt_residual``);
     * dual cone: ``(p, E p_next)`` inside the dual cone of the step,
       violation within ``tol``;
     * supermartingale: the deflated value of ``competitors`` random
@@ -269,8 +269,7 @@ def check_rapid(plan: ContingentPlan, dual: DualPlan, cone_table,
     N = tree.n_nodes
     prices, ahead = dual.prices, dual.expected_next_rows()
     par = tree.parent[1:]
-    support = np.abs((prices[1:, None, :] @ plan.x[par][:, :, None])[:, 0, 0]
-                     - 1.0)
+    support = np.abs(_node_dots(prices[1:], plan.x[par]) - 1.0)
     groups = _group_edges(tree, cone_table)
     violation = np.empty(N)
     for g in groups:
@@ -282,12 +281,9 @@ def check_rapid(plan: ContingentPlan, dual: DualPlan, cone_table,
         defect = _running_max(defect, _deflated_gain(
             ahead[1:], prices[1:], Y[:, 1:], Y[:, par]))
 
-    node_support = dict(zip(range(1, N), support.tolist()))
-    node_dual = dict(zip(range(1, N), violation.tolist()))
-    node_defect = dict(zip(range(1, N), defect.tolist()))
-    support_res = max(node_support.values())
-    dual_res = max(0.0, max(node_dual.values()))
-    defect_res = max(node_defect.values())
+    worst = [_worst(tree, r) for r in (support, violation, defect)]
+    support_res, dual_res, defect_res = (w["residual"] for w in worst)
+    dual_res = max(0.0, dual_res)
     ok = support_res <= tol and dual_res <= tol and defect_res <= defect_tol
     return CertificateReport(
         support_residual=support_res,
@@ -296,14 +292,14 @@ def check_rapid(plan: ContingentPlan, dual: DualPlan, cone_table,
         tol=tol,
         defect_tol=defect_tol,
         verdict="pass" if ok else "fail",
-        node_support=node_support,
-        node_dual_cone=node_dual,
-        node_defect=node_defect,
+        node_support=dict(zip(range(1, N), support.tolist())),
+        node_dual_cone=dict(zip(range(1, N), violation.tolist())),
+        node_defect=dict(zip(range(1, N), defect.tolist())),
         competitors=plan.n + 1 + competitors,
         seed=seed,
-        worst_support=_worst(tree, support),
-        worst_dual_cone=_worst(tree, violation),
-        worst_defect=_worst(tree, defect),
+        worst_support=worst[0],
+        worst_dual_cone=worst[1],
+        worst_defect=worst[2],
     )
 
 

@@ -318,8 +318,6 @@ def cmd_solve_tree(args) -> int:
         "objective_kind": objective,
         **res.to_dict(),
     }
-    if res.dual is None:
-        doc["kkt_residual"] = None
     _emit(doc, args.out)
     if args.out:
         kkt = ("skipped" if res.dual is None
@@ -359,17 +357,16 @@ def _same_file(a: str, b: str) -> bool:
         return False
 
 
-def _infer_horizon(cfg: ModelConfig, doc: dict, n_nodes: int,
-                   root_state) -> int:
+def _plan_tree(cfg: ModelConfig, doc: dict, n_nodes: int):
+    """A plan file's tree, at its ``horizon`` or else its node count."""
+    root_state = doc.get("root_state")
     if "horizon" in doc:
-        return int(doc["horizon"])
-    total = 1
+        return _build_model_tree(cfg, int(doc["horizon"]), root_state)
     for t in range(1, 64):
         tree = _build_model_tree(cfg, t, root_state)
-        total = tree.n_nodes
-        if total == n_nodes:
-            return t
-        if total > n_nodes:
+        if tree.n_nodes == n_nodes:
+            return tree
+        if tree.n_nodes > n_nodes:
             break
     raise ModelError(f"cannot infer a horizon matching {n_nodes} nodes")
 
@@ -385,10 +382,7 @@ def cmd_certify(args) -> int:
         raise ModelError(f"{args.dual}: no dual price system found "
                          "(was the solve run with --skip-dual?)")
 
-    root_state = plan_doc.get("root_state")
-    horizon = _infer_horizon(cfg, plan_doc, len(plan_dict["portfolio"]),
-                             root_state)
-    tree = _build_model_tree(cfg, horizon, root_state)
+    tree = _plan_tree(cfg, plan_doc, len(plan_dict["portfolio"]))
     limits = {key: _limit(args, cfg, key)
               for key in ("tol", "defect_tol", "competitors", "seed")}
     try:

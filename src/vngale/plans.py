@@ -72,6 +72,12 @@ def _plan_array(tree: ScenarioTree, data, n: int | None = None,
     return arr
 
 
+def _node_dots(a, b):
+    """``a . b`` for stacks of node rows, one dot product per node (and
+    plan): every support product ``p . x_parent`` and deflated gain."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 @dataclass(frozen=True)
 class ContingentPlan:
     """Nonnegative portfolio vector at every node of a scenario tree.
@@ -230,7 +236,7 @@ class BalancedStrategy:
         xs = {}
         for s, vec in x.items():
             vec = np.asarray(vec, dtype=float)
-            if (vec < 0).any() or abs(vec.sum() - 1.0) > 1e-12:
+            if not (vec >= 0).all() or not abs(vec.sum() - 1.0) <= 1e-12:
                 raise ValueError(
                     f"proportions for state {s!r} must lie on the simplex"
                 )

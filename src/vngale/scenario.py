@@ -74,7 +74,7 @@ class MarkovSpec:
         pi0 = _readonly(pi0)
         if pi0.shape != (k,):
             raise ValueError(f"initial distribution must have length {k}")
-        if (pi0 < 0).any() or abs(pi0.sum() - 1.0) > 1e-12:
+        if not (pi0 >= 0).all() or not abs(pi0.sum() - 1.0) <= 1e-12:
             raise ValueError("initial distribution must be a probability "
                              "vector")
         object.__setattr__(self, "states", states)

@@ -91,6 +91,7 @@ from .plans import (
     BalancedStrategy,
     ContingentPlan,
     DualPlan,
+    _node_dots,
     _step_factors,
     _transition_key,
 )
@@ -139,8 +140,9 @@ class TreeSolveResult:
 
     objective     expected terminal log value, exact tree arithmetic
     kkt_residual  largest support residual ``|p_v . x_parent - 1|`` of
-                  the least dual (0 certifies global optimality); NaN
-                  when dual extraction was skipped
+                  the least dual, bit for bit ``check_rapid``'s
+                  ``support_residual`` (0 certifies global optimality);
+                  NaN, null in JSON, when dual extraction was skipped
     """
 
     plan: ContingentPlan
@@ -152,7 +154,7 @@ class TreeSolveResult:
     def to_dict(self) -> dict:
         return {
             "objective": self.objective,
-            "kkt_residual": self.kkt_residual,
+            "kkt_residual": None if self.dual is None else self.kkt_residual,
             "iterations": self.iterations,
             "plan": self.plan.to_dict(),
             "dual": None if self.dual is None else self.dual.to_dict(),
@@ -562,7 +564,8 @@ def _extract_tree_dual(tree, X, prog):
     at a leaf and otherwise the conditional mean of its children's
     prices (one sum over their consecutive ids, added as
     :meth:`DualPlan.expected_next` adds them).  Returns the dual and
-    its largest support residual ``|p_v . x_parent - 1|``.
+    its largest support residual ``|p_v . x_parent - 1|``, bit for bit
+    the ``support_residual`` of :func:`vngale.certify.check_rapid`.
     """
     term = prog.leaf_w / (prog.leaf_w * X[prog.leaves]).sum(axis=1)[:, None]
     prices = np.zeros((tree.n_nodes, prog.n))
@@ -577,7 +580,7 @@ def _extract_tree_dual(tree, X, prog):
                                    * prices[kids], lo, hi)
         for g in prog.by_depth[d - 1]:
             prices[g.at] = _least_price(g.cone.exchange, e[g.at])
-    support = (prices[1:] * X[tree.parent[1:]]).sum(axis=1)
+    support = _node_dots(prices[1:], X[tree.parent[1:]])
     return DualPlan(tree, prices, term), float(np.abs(support - 1.0).max())
 
 

@@ -49,6 +49,24 @@ def coin_model(tmp_path):
     return write_json(tmp_path / "model.json", coin_model_doc())
 
 
+def pruned_model_doc():
+    """Three states with zero transitions (B -> C only, no A -> C), so
+    tree depths differ in their child counts; the CI's pruned chain."""
+    return {
+        "markov": {"states": ["A", "B", "C"],
+                   "transition": [[0.6, 0.4, 0.0], [0.0, 0.0, 1.0],
+                                  [0.2, 0.3, 0.5]]},
+        "cones": {
+            "*->A": {"family": "frictionless", "returns": [1.0, 1.3, 0.9]},
+            "*->B": {"family": "proportional_tc", "returns": [1.0, 0.8, 1.2],
+                     "lambda_plus": 0.01, "lambda_minus": 0.02},
+            "C->C": {"family": "frictionless", "returns": [1.0, 1.1, 1.05]},
+            "*->C": {"family": "proportional_tc", "returns": [1.0, 0.95, 1.0],
+                     "lambda_plus": 0.02, "lambda_minus": 0.0},
+        },
+    }
+
+
 class TestUsageErrors:
     def test_no_command(self):
         with pytest.raises(SystemExit) as exc:
@@ -317,6 +335,84 @@ class TestCertify:
                    "--dual", str(res)])
         assert rc == 2
         assert "skip-dual" in capsys.readouterr().err
+
+
+class TestPrunedCertify:
+    """Solve and certify on the pruned chain from the pinned root B."""
+
+    def solve(self, tmp_path, horizon, x0):
+        model = write_json(tmp_path / "pruned.json", pruned_model_doc())
+        plan = tmp_path / "plan.json"
+        assert main(["solve-tree", "--model", model, "--horizon",
+                     str(horizon), "--root-state", "B", "--x0", x0,
+                     "--out", str(plan)]) == 0
+        return model, plan
+
+    def certify(self, model, plan, out):
+        return main(["certify", "--model", model, "--plan", str(plan),
+                     "--dual", str(plan), "--out", str(out)])
+
+    def test_kkt_residual_is_the_support_residual(self, tmp_path):
+        # one support rule for the solve and the certificate: the two
+        # files carry the same number, bit for bit
+        third = repr(1.0 / 3.0)
+        model, plan = self.solve(tmp_path, 3, ",".join([third] * 3))
+        cert = tmp_path / "cert.json"
+        assert self.certify(model, plan, cert) == 0
+        kkt = json.loads(plan.read_text())["kkt_residual"]
+        assert 0.0 < kkt <= 1e-8
+        assert kkt == json.loads(cert.read_text())["support_residual"]
+
+    def test_horizon_from_the_node_count(self, tmp_path, capsys):
+        model, plan = self.solve(tmp_path, 4, "0.4,0.3,0.3")
+        doc = json.loads(plan.read_text())
+        assert len(doc["plan"]["portfolio"]) == 23
+        bare = write_json(tmp_path / "bare.json",
+                          {k: v for k, v in doc.items() if k != "horizon"})
+        cert, bare_cert = tmp_path / "cert.json", tmp_path / "bare-cert.json"
+        assert self.certify(model, plan, cert) == 0
+        assert self.certify(model, bare, bare_cert) == 0
+        assert cert.read_bytes() == bare_cert.read_bytes()
+
+        # 22 nodes: no horizon of the pinned tree has that many
+        del doc["horizon"], doc["plan"]["portfolio"]["22"]
+        short = write_json(tmp_path / "short.json", doc)
+        out = tmp_path / "short-cert.json"
+        capsys.readouterr()
+        assert self.certify(model, short, out) == 2
+        assert ("cannot infer a horizon matching 22 nodes"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+
+class TestNonFiniteInputs:
+    """``json`` reads ``NaN``: a NaN initial law or strategy proportion
+    is a schema error (exit 2) that writes no file."""
+
+    def test_initial_law(self, tmp_path, capsys):
+        doc = coin_model_doc()
+        doc["markov"]["initial"] = [math.nan, 1.0]
+        model = write_json(tmp_path / "model.json", doc)
+        out = tmp_path / "plan.json"
+        assert main(["solve-tree", "--model", model, "--horizon", "2",
+                     "--x0", "0.5,0.5", "--out", str(out)]) == 2
+        assert "bad markov section" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_strategy_proportions(self, coin_model, tmp_path, capsys):
+        eq = tmp_path / "eq.json"
+        assert main(["solve-stationary", "--model", coin_model,
+                     "--starts", "1", "--out", str(eq)]) == 0
+        doc = json.loads(eq.read_text())
+        doc["strategy"]["x"]["U"] = [math.nan, 1.0]
+        bad = write_json(tmp_path / "bad-eq.json", doc)
+        out = tmp_path / "sim.csv"
+        capsys.readouterr()
+        assert main(["simulate", "--model", coin_model, "--equilibrium",
+                     bad, "--paths", "4", "--length", "10",
+                     "--out", str(out)]) == 2
+        assert "not an equilibrium file" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSolveStationary:

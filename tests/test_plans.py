@@ -305,6 +305,15 @@ def test_ratio_rejects_zero_wealth():
 # strategy validation
 
 
+@pytest.mark.parametrize("bad", [[np.nan, 1.0], [1.0, np.nan],
+                                 [np.inf, 1.0], [np.nan, np.nan]])
+def test_balanced_proportions_must_be_finite(bad):
+    # a NaN fails both ``< 0`` and ``|sum - 1| > tol``: it must still raise
+    with pytest.raises(ValueError, match="simplex"):
+        BalancedStrategy(x={"A": [0.5, 0.5], "B": bad},
+                         alpha={"A": 1.0, "B": 1.0})
+
+
 def test_balanced_strategy_validation():
     with pytest.raises(ValueError):
         BalancedStrategy(x={"A": [0.5, 0.6]}, alpha={"A": 1.0})

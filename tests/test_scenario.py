@@ -33,6 +33,16 @@ def test_markov_validation():
         MarkovSpec([], [])
 
 
+@pytest.mark.parametrize("stationary", [False, True])
+@pytest.mark.parametrize("pi0", [[np.nan, 1.0], [1.0, np.nan],
+                                 [np.inf, 1.0], [np.nan, np.nan]])
+def test_initial_law_must_be_finite(pi0, stationary):
+    # a NaN fails both ``< 0`` and ``|sum - 1| > tol``: it must still raise
+    with pytest.raises(ValueError, match="probability vector"):
+        MarkovSpec(["A", "B"], [[0.5, 0.5], [0.5, 0.5]], pi0=pi0,
+                   stationary=stationary)
+
+
 def test_stationary_flag_checks_invariance():
     P = [[0.9, 0.1], [0.5, 0.5]]
     # invariant law of P: pi = (5/6, 1/6)

@@ -212,11 +212,10 @@ def test_prices_match_the_lp(solved):
 
 
 def test_kkt_residual_bounds_the_lp_slack(solved):
-    tree, _, res, _, _, slack = solved
-    x = res.plan.x
-    support = np.abs((res.dual.prices[1:] * x[tree.parent[1:]]).sum(axis=1)
-                     - 1.0)
-    assert res.kkt_residual == support.max()
+    _, table, res, _, _, slack = solved
+    # one support rule: the certificate's residual of the same plan and dual
+    rep = check_rapid(res.plan, res.dual, table, competitors=0)
+    assert res.kkt_residual == rep.support_residual
     assert res.kkt_residual >= slack - 1e-12
     assert res.kkt_residual <= 1e-8
 
