@@ -34,7 +34,6 @@ import numpy as np
 
 from .certify import asymptotic_dominance, check_rapid
 from .cones import ConeTable, validate_assumptions
-from .lp import LPError
 from .plans import ContingentPlan, DualPlan
 from .scenario import MarkovSpec, build_tree
 from .solver import (
@@ -73,7 +72,6 @@ class ModelConfig:
     markov: MarkovSpec
     cones: ConeTable
     objective: str
-    units: str | None
     limits: dict
 
 
@@ -143,8 +141,7 @@ def load_model(path: str) -> ModelConfig:
     objective = conv.get("objective", "wealth")
     if objective not in _OBJECTIVES:
         raise ModelError(f"{path}: objective must be one of {_OBJECTIVES}")
-    units = conv.get("units")
-    if units is not None and units not in ("market", "physical"):
+    if conv.get("units", "market") not in ("market", "physical"):
         raise ModelError(f"{path}: units must be 'market' or 'physical'")
 
     limits = dict(_DEFAULT_LIMITS)
@@ -155,14 +152,16 @@ def load_model(path: str) -> ModelConfig:
     if bad:
         raise ModelError(f"{path}: unknown limits {bad}")
     for key, val in given.items():
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise ModelError(f"{path}: limit {key!r} must be a number")
-        limits[key] = val
-    for key in ("node_limit", "competitors", "seed", "starts"):
-        limits[key] = int(limits[key])
+        whole = isinstance(_DEFAULT_LIMITS[key], int)  # a count or the seed
+        # type(), not isinstance(): a bool is not a number here
+        if (type(val) not in (int, float) or not -math.inf < val < math.inf
+                or whole and val % 1):
+            raise ModelError(f"{path}: limit {key!r} must be a "
+                             f"{'whole' if whole else 'finite'} number")
+        limits[key] = int(val) if whole else val
 
     return ModelConfig(markov=markov, cones=cones, objective=objective,
-                       units=units, limits=limits)
+                       limits=limits)
 
 
 def _parse_x0(text: str, n: int) -> np.ndarray:
@@ -188,9 +187,11 @@ def _build_model_tree(cfg: ModelConfig, horizon: int, root_state):
 
 
 def _limit(args, cfg: ModelConfig, key: str):
-    """The flag's value of ``key``, else the model's; a bad count raises."""
+    """The flag's value of ``key``, else the model's; a bad one raises."""
     val = getattr(args, key)
     val = cfg.limits[key] if val is None else val
+    if not -math.inf < val < math.inf:
+        raise ModelError(f"{key} must be a finite number, got {val}")
     if val < _LEAST_COUNTS.get(key, -math.inf):
         raise ModelError(f"{key} must be >= {_LEAST_COUNTS[key]}, got {val}")
     return val
@@ -361,7 +362,10 @@ def _plan_tree(cfg: ModelConfig, doc: dict, n_nodes: int):
     """A plan file's tree, at its ``horizon`` or else its node count."""
     root_state = doc.get("root_state")
     if "horizon" in doc:
-        return _build_model_tree(cfg, int(doc["horizon"]), root_state)
+        h = doc["horizon"]
+        if type(h) not in (int, float) or h % 1:  # nan or inf: h % 1 is nan
+            raise ModelError(f"horizon must be a whole number, got {h!r}")
+        return _build_model_tree(cfg, int(h), root_state)
     for t in range(1, 64):
         tree = _build_model_tree(cfg, t, root_state)
         if tree.n_nodes == n_nodes:
@@ -514,7 +518,7 @@ def main(argv=None) -> int:
     except ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SolverError, LPError) as exc:
+    except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -57,6 +57,7 @@ from functools import cached_property
 import numpy as np
 
 from .lp import lp_solve
+from .scenario import _readonly
 
 __all__ = [
     "FRICTIONLESS",
@@ -87,12 +88,6 @@ CURRENCY = "currency"
 # rows, about five times more per currency: 2364 at n = 6, 12642 at
 # n = 7.  The tree barrier carries all of them on every edge.
 MAX_CURRENCIES = 6
-
-
-def _readonly(a) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True)

@@ -668,10 +668,6 @@ class _StationaryProgram:
         least = np.where(into, a[..., None, :], np.inf).min(axis=-1)
         return np.where(into.any(axis=1), least, 1.0)
 
-    def growth_factors(self, xs):
-        """:meth:`state_factors` of the table or stack ``xs``."""
-        return self.state_factors(self.factors(xs))
-
     def growth(self, a):
         """Expected log growth ``sum_u pi(u) sum_v P(u, v) log a(u, v)`` of
         the transition factors ``a[..., t]``: a stacked table's sum runs

@@ -131,6 +131,13 @@ class TestModelSchema:
         f = write_json(tmp_path / "m.json", doc)
         assert main(["validate", "--model", f]) == 2
 
+    def test_bad_units(self, tmp_path, capsys):
+        doc = coin_model_doc()
+        doc["conventions"] = {"units": "dollars"}
+        f = write_json(tmp_path / "m.json", doc)
+        assert main(["validate", "--model", f]) == 2
+        assert "units must be" in capsys.readouterr().err
+
     def test_unknown_limit(self, tmp_path):
         doc = coin_model_doc()
         doc["limits"] = {"max_depth": 5}
@@ -529,6 +536,73 @@ class TestBadCounts:
         self.check(["certify", "--model", model, "--plan", str(plan),
                     "--dual", str(plan)], tmp_path / "cert.json", capsys,
                    "competitors must be >= 0, got -2")
+
+    def test_whole_model_limits(self, coin_model, tmp_path, capsys):
+        """A limit must be a finite number, and a count or seed a whole
+        one, else every command rejects the model at load."""
+        plan = tmp_path / "plan.json"
+        assert main(["solve-tree", "--model", coin_model, "--horizon", "2",
+                     "--x0", "0.5,0.5", "--out", str(plan)]) == 0
+        for key, bad, kind in (("node_limit", math.inf, "whole"),
+                               ("seed", math.nan, "whole"),
+                               ("competitors", 2.5, "whole"),
+                               ("starts", True, "whole"),
+                               ("tol", math.nan, "finite"),
+                               ("defect_tol", -math.inf, "finite")):
+            model = write_json(tmp_path / "model.json", {
+                **coin_model_doc(), "limits": {key: bad}})
+            message = f"limit {key!r} must be a {kind} number"
+            self.check(["validate", "--model", model],
+                       tmp_path / "report.json", capsys, message)
+            self.check(["certify", "--model", model, "--plan", str(plan),
+                        "--dual", str(plan)], tmp_path / "cert.json",
+                       capsys, message)
+
+    def test_whole_float_limits_count(self, coin_model, tmp_path):
+        """``8.0`` is the count 8: the certificate matches the int's."""
+        plan = tmp_path / "plan.json"
+        assert main(["solve-tree", "--model", coin_model, "--horizon", "2",
+                     "--x0", "0.5,0.5", "--out", str(plan)]) == 0
+        texts = []
+        for count in (8, 8.0):
+            model = write_json(tmp_path / "model.json", {
+                **coin_model_doc(),
+                "limits": {"competitors": count, "seed": count / 4}})
+            out = tmp_path / f"cert-{count!r}.json"
+            assert main(["certify", "--model", model, "--plan", str(plan),
+                         "--dual", str(plan), "--out", str(out)]) == 0
+            texts.append(out.read_text())
+        assert texts[0] == texts[1]
+        # 8 random competitors and 3 fixed ones (n + 1 at n = 2)
+        assert json.loads(texts[0])["competitors"] == 11
+
+    def test_nonfinite_tolerance_flags(self, coin_model, tmp_path, capsys):
+        plan = tmp_path / "plan.json"
+        assert main(["solve-tree", "--model", coin_model, "--horizon", "2",
+                     "--x0", "0.5,0.5", "--out", str(plan)]) == 0
+        for flag, key in (("--tol", "tol"), ("--defect-tol", "defect_tol")):
+            for bad in ("nan", "inf", "-inf"):
+                self.check(["certify", "--model", coin_model, "--plan",
+                            str(plan), "--dual", str(plan), f"{flag}={bad}"],
+                           tmp_path / "cert.json", capsys,
+                           f"{key} must be a finite number")
+
+    def test_plan_horizon(self, coin_model, tmp_path, capsys):
+        """A plan file's horizon is a whole number, not a value coerced
+        by ``int``."""
+        plan = tmp_path / "plan.json"
+        assert main(["solve-tree", "--model", coin_model, "--horizon", "2",
+                     "--x0", "0.5,0.5", "--out", str(plan)]) == 0
+        doc = json.loads(plan.read_text())
+        for bad in ("x", None, 2.7, True, math.nan):
+            edited = write_json(tmp_path / "edited.json",
+                                {**doc, "horizon": bad})
+            self.check(["certify", "--model", coin_model, "--plan", edited,
+                        "--dual", edited], tmp_path / "cert.json", capsys,
+                       "horizon must be a whole number")
+        whole = write_json(tmp_path / "whole.json", {**doc, "horizon": 2.0})
+        assert main(["certify", "--model", coin_model, "--plan", whole,
+                     "--dual", whole]) == 0
 
     def test_seed_and_simulation_sizes(self, coin_model, tmp_path, capsys):
         """A seed below 0, from a flag or from the model's limits, and a

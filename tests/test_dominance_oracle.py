@@ -138,8 +138,8 @@ def _model(chain, family):
 def _strategy(spec, table, x):
     """The balanced strategy holding ``x`` in every state, with the
     growth factors the program assigns it."""
-    alpha = _StationaryProgram(spec, table).growth_factors(
-        np.tile(x, (spec.k, 1)))
+    prog = _StationaryProgram(spec, table)
+    alpha = prog.state_factors(prog.factors(np.tile(x, (spec.k, 1))))
     return BalancedStrategy(x={s: x for s in spec.states},
                             alpha={s: float(a)
                                    for s, a in zip(spec.states, alpha)})

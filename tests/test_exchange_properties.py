@@ -127,7 +127,8 @@ def test_growth_factors_are_min_boundary_scale_over_predecessors(data):
         f"{u}->{v}": data.draw(any_cones(n=n))
         for u in states for v in states})
     xs = np.array([data.draw(simplex(n)) for _ in range(k)])
-    alpha = _StationaryProgram(spec, table).growth_factors(xs)
+    prog = _StationaryProgram(spec, table)
+    alpha = prog.state_factors(prog.factors(xs))
     for v in range(k):
         scales = [boundary_scale(table.resolve(states[u], states[v]),
                                  xs[u], xs[v])
