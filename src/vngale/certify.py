@@ -380,8 +380,11 @@ def asymptotic_dominance(equilibrium, spec: MarkovSpec, cone_table,
     one sweep over time for all C competitors at once: each step adds
     the sampled log growth factors, looked up by transition id, to the
     strategy's and every competitor's log wealth and folds their log
-    wealth ratios into a running maximum.  Besides the sampled paths
-    (paths x length states) memory is O(paths x C + C x k x (k + n)),
+    wealth ratios into a running maximum.  On a chain in which every
+    state has one successor a path is fixed by its first state, so the
+    sweep runs one path per distinct first state and copies its results
+    to the paths that share it.  Besides the sampled paths (paths x
+    length states) memory is O(distinct paths x C + C x k x (k + n)),
     and the transition ids are formed for at most
     ``_SWEEP_CHUNK_ELEMENTS`` steps x paths at a time.  The sums are
     added in time order, so the report is the same, bit for bit, as
@@ -469,19 +472,31 @@ def _sweep(spec: MarkovSpec, length: int, paths: int, seed: int,
     (paths,) and ly (paths, C); best, the running maximum of ly - lx (0
     before t = 1); and half, best before step mid, the record the second
     half of the horizon has to beat (best itself when the horizon is one
-    step and has no second half).  The steps' transition ids are formed
+    step and has no second half).  When every row of ``spec.P`` has one
+    positive entry, equal first states mean equal paths: only one path
+    per distinct first state is swept, and its rows are copied back to
+    every path on return.  Every step acts on each path alone, so the
+    copies equal a sweep of all paths bit for bit, and the sweep holds
+    O(distinct paths x C) numbers.  The steps' transition ids are formed
     for at most ``_SWEEP_CHUNK_ELEMENTS`` steps x paths at a time, and
     the paths and ids are freed on return.
     """
     k, C = spec.k, log_ay.shape[1]
     S = sample_paths(spec, length, paths, seed)
+    back = slice(None)
+    if ((spec.P > 0.0).sum(axis=1) == 1).all():
+        # every state has one successor: a path is fixed by its first state
+        _, first, back = np.unique(S[:, 0], return_index=True,
+                                   return_inverse=True)
+        S = S[first]
+    rows = len(S)
     mid = length - length // 2
-    lx = np.zeros(paths)
-    ly = np.zeros((paths, C))
-    best = half = np.zeros((paths, C))
-    rel = np.empty((paths, C))
-    prev = np.full(paths, k)
-    span = max(1, _SWEEP_CHUNK_ELEMENTS // paths)
+    lx = np.zeros(rows)
+    ly = np.zeros((rows, C))
+    best = half = np.zeros((rows, C))
+    rel = np.empty((rows, C))
+    prev = np.full(rows, k)
+    span = max(1, _SWEEP_CHUNK_ELEMENTS // rows)
     for t0 in range(0, length, span):
         chunk = S[:, t0:t0 + span].T
         ids = np.empty(chunk.shape, dtype=np.int64)
@@ -497,7 +512,7 @@ def _sweep(spec: MarkovSpec, length: int, paths: int, seed: int,
             ly += log_ay[tid]
             np.subtract(ly, lx[:, None], out=rel)
             np.maximum(best, rel, out=best)
-    return lx, ly, best, half
+    return lx[back], ly[back], best[back], half[back]
 
 
 def _require_positive(alpha: np.ndarray, who: str) -> np.ndarray:

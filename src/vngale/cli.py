@@ -58,9 +58,10 @@ _DEFAULT_LIMITS = {
     "seed": 0,
     "starts": 32,
 }
-# the least valid count or seed, from a flag or from the model's limits
+# the least valid count, seed or tolerance, from a flag or from the
+# model's limits
 _LEAST_COUNTS = {"competitors": 0, "starts": 1, "seed": 0, "paths": 1,
-                 "length": 1}
+                 "length": 1, "tol": 0, "defect_tol": 0}
 
 _OBJECTIVES = ("wealth", "liquidation")
 
@@ -172,6 +173,8 @@ def _parse_x0(text: str, n: int) -> np.ndarray:
             from exc
     if len(vals) != n:
         raise ModelError(f"--x0 must have {n} entries, got {len(vals)}")
+    if not all(-math.inf < v < math.inf for v in vals):
+        raise ModelError(f"--x0 entries must be finite, got {text}")
     return np.asarray(vals, dtype=float)
 
 

@@ -234,6 +234,19 @@ class TestSolveTree:
                    "--x0", "a,b"])
         assert rc == 2
 
+    def test_nonfinite_x0(self, tmp_path, capsys):
+        """A non-finite entry is a usage error that writes no file; a
+        finite one of 0 or below stays the solver's domain error."""
+        model = write_json(tmp_path / "model.json", pruned_model_doc())
+        out = tmp_path / "res.json"
+        for bad in ("nan,0.3,0.3", "inf,0.3,0.3", "0.3,-inf,0.3"):
+            capsys.readouterr()
+            rc = main(["solve-tree", "--model", model, "--horizon", "2",
+                       "--x0", bad, "--out", str(out)])
+            assert rc == 2
+            assert "--x0 entries must be finite" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_unknown_root_state(self, coin_model):
         rc = main(["solve-tree", "--model", coin_model, "--horizon", "1",
                    "--x0", "0.5,0.5", "--root-state", "X"])
@@ -586,6 +599,33 @@ class TestBadCounts:
                             str(plan), "--dual", str(plan), f"{flag}={bad}"],
                            tmp_path / "cert.json", capsys,
                            f"{key} must be a finite number")
+
+    def test_negative_tolerances(self, tmp_path, capsys):
+        """A tolerance below 0, from a flag or from the model's limits,
+        is a usage error; 0 is a valid one."""
+        doc = coin_model_doc(lam=0.01)
+        model = write_json(tmp_path / "model.json", doc)
+        plan = tmp_path / "plan.json"
+        assert main(["solve-tree", "--model", model, "--horizon", "2",
+                     "--x0", "0.5,0.5", "--out", str(plan)]) == 0
+        certify = ["certify", "--plan", str(plan), "--dual", str(plan)]
+        for flag, key, bad in (("--tol", "tol", -1.0),
+                               ("--defect-tol", "defect_tol", -1e-9)):
+            message = f"{key} must be >= 0, got {bad}"
+            self.check(certify + ["--model", model, f"{flag}={bad}"],
+                       tmp_path / "cert.json", capsys, message)
+            limited = write_json(tmp_path / "limited.json",
+                                 {**doc, "limits": {key: bad}})
+            self.check(certify + ["--model", limited],
+                       tmp_path / "cert.json", capsys, message)
+        # the support residual of a solve is small but not 0: a domain
+        # failure, not a usage error
+        out = tmp_path / "cert.json"
+        assert main(certify + ["--model", model, "--tol=0", "--defect-tol=0",
+                               "--out", str(out)]) == 1
+        cert = json.loads(out.read_text())
+        assert (cert["tol"], cert["defect_tol"]) == (0.0, 0.0)
+        assert cert["support_residual"] > 0.0
 
     def test_plan_horizon(self, coin_model, tmp_path, capsys):
         """A plan file's horizon is a whole number, not a value coerced

@@ -6,7 +6,9 @@ the loop's ``cumsum`` adds them and takes the same maxima, so reports
 must agree exactly: every statistic of every row, the row order, and
 the competitor named when a growth factor is not positive.  Cases cover
 every cone family on a fair coin, a three-state regime chain, a
-one-state chain and a skewed chain, horizons from one step (no second
+one-state chain, a skewed chain and two deterministic chains (a
+three-state cycle, and a two-state chain whose first state can be
+left for good), horizons from one step (no second
 half) to several time slabs, one to a hundred paths, up to a hundred
 random competitors and an ``include`` extra.
 """
@@ -111,6 +113,9 @@ CHAINS = {
                                             [0.05, 0.15, 0.8]]),
     "one-state": MarkovSpec(["S"], [[1.0]]),
     "skew": MarkovSpec(["A", "B", "C"], [[0.98, 0.01, 0.01]] * 3),
+    # deterministic chains: each state has one successor
+    "cycle3": MarkovSpec(["X", "Y", "Z"], [[0, 1, 0], [0, 0, 1], [1, 0, 0]]),
+    "transient": MarkovSpec(["E", "F"], [[0, 1], [0, 1]]),
 }
 # gross returns of assets 1 and 2 in the i-th state (asset 0 is cash)
 RETURNS = [[2.0, 0.7], [0.5, 1.4], [1.6, 0.9]]
@@ -168,6 +173,21 @@ def test_sweep_equals_loop(chain, family):
                      length=500, paths=100, seed=7, include=extra)
         _assert_same(strat, spec, table, competitors=competitors,
                      length=7, paths=2, seed=8, include=extra)
+
+
+@pytest.mark.parametrize("chain", ["cycle3", "transient", "one-state"])
+def test_deterministic_paths_follow_the_successor(chain):
+    """On a chain whose rows each have one positive entry, every sampled
+    state after the first is the successor of the one before, whatever
+    the uniforms: a path is fixed by its first state."""
+    spec = CHAINS[chain]
+    succ = spec.P.argmax(axis=1)
+    for length, paths, seed in ((1, 4, 0), (2, 2, 1), (500, 100, 2),
+                                (20001, 3, 3)):
+        S = sample_paths(spec, length, paths, seed)
+        assert (S[:, 1:] == succ[S[:, :-1]]).all()
+    # the first states are drawn from every state
+    assert set(sample_paths(spec, 1, 100, 0)[:, 0]) == set(range(spec.k))
 
 
 def test_long_narrow_sweep_equals_loop():
