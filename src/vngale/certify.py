@@ -195,20 +195,18 @@ def _competitor_plans(plan: ContingentPlan, groups, count: int, seed: int):
     per_plan = max(N * n, int(np.diff(tree.depth_start).max()) * rows)
     size = max(1, _CHUNK_ELEMENTS // per_plan)
 
-    eye, alpha = np.eye(n), np.ones(n)
     rng = np.random.default_rng(seed)
     rolled = n + count  # buy-and-hold plans, then the random ones
     for start in range(0, rolled, size):
         stop = min(start + size, rolled)
-        held = min(stop, n) - min(start, n)
-        dirs = np.empty((stop - start, N, n))
-        dirs[:held] = eye[start:start + held, None]
-        dirs[held:] = rng.dirichlet(alpha, size=(stop - start - held, N))
+        hold = np.eye(n)[start:stop, None]
+        draws = rng.dirichlet(np.ones(n), size=(stop - start - len(hold), N))
+        dirs = np.concatenate([np.broadcast_to(hold, (len(hold), N, n)),
+                               draws])
         Y = _roll(plan.x[0], dirs, by_depth)
         if start < n <= stop:
             yield Y[:n - start]
-            decay = 0.9 ** tree.depth.astype(float)
-            yield (plan.x * decay[:, None])[None]
+            yield (plan.x * 0.9 ** tree.depth[:, None])[None]
             Y = Y[n - start:]
         yield Y
 
@@ -256,10 +254,14 @@ def check_rapid(plan: ContingentPlan, dual: DualPlan, cone_table,
     product for their deflated gains.
 
     The plan itself is assumed self-financing (see
-    :func:`vngale.plans.is_self_financing`).
+    :func:`vngale.plans.is_self_financing`).  A negative competitor count,
+    or a tolerance that is negative or not finite, raises ``ValueError``.
     """
     if competitors < 0:
         raise ValueError(f"competitors must be >= 0, got {competitors}")
+    for name, val in (("tol", tol), ("defect_tol", defect_tol)):
+        if not 0.0 <= val < np.inf:  # nan fails both
+            raise ValueError(f"{name} must be finite and >= 0, got {val}")
     if dual is None:
         raise ValueError("no dual plan given; solve with extract_dual=True "
                          "or construct one explicitly")
@@ -364,7 +366,8 @@ def asymptotic_dominance(equilibrium, spec: MarkovSpec, cone_table,
     statistics (see :class:`DominanceReport`).  Competitors: buy-and-hold
     of each asset, the strategy disposing 10% per period, ``competitors``
     seeded random proportion vectors, and any extra named strategies in
-    ``include`` (a map name -> BalancedStrategy).
+    ``include`` (a map name -> BalancedStrategy).  An ``include`` name
+    that a built-in competitor has raises ``ValueError``.
 
     ``equilibrium`` may be an EquilibriumResult or a BalancedStrategy.
     Every balanced plan steps by the growth factor of each transition it
@@ -394,8 +397,15 @@ def asymptotic_dominance(equilibrium, spec: MarkovSpec, cone_table,
         raise ValueError("length and paths must be >= 1")
     if competitors < 0:
         raise ValueError(f"competitors must be >= 0, got {competitors}")
-    strategy = getattr(equilibrium, "strategy", equilibrium)
     k, n, states = spec.k, cone_table.n, spec.states
+    extra = sorted(include or {})
+    names = ([f"hold-{i}" for i in range(n)] + ["dispose-10"]
+             + [f"random-{j}" for j in range(competitors)])
+    clash = sorted(set(extra).intersection(names))
+    if clash:
+        raise ValueError(f"include names {clash} are built-in competitors")
+    names += extra
+    strategy = getattr(equilibrium, "strategy", equilibrium)
 
     # (k + 1, k) step factors: [previous state, state], row k the first step
     step_x = _require_positive(_step_factors(strategy, states),
@@ -412,9 +422,6 @@ def asymptotic_dominance(equilibrium, spec: MarkovSpec, cone_table,
     steps = np.ones((len(props), k + 1, k))
     steps[:, prog.src, prog.dest] = a
     steps[:, k] = prog.state_factors(a)
-    extra = sorted(include or {})
-    names = ([f"hold-{i}" for i in range(n)] + ["dispose-10"]
-             + [f"random-{j}" for j in range(competitors)] + extra)
     steps = np.concatenate(
         [steps[:n], [0.9 * np.exp(log_ax)], steps[n:]]
         + [[_step_factors(include[name], states)] for name in extra])

@@ -314,7 +314,9 @@ def cmd_solve_tree(args) -> int:
                                      objective=objective,
                                      extract_dual=not args.skip_dual)
     except KeyError as exc:
-        raise ModelError(f"no cone for a tree transition: {exc}") from exc
+        # str() of a KeyError is the repr of its message
+        raise ModelError(
+            f"no cone for a tree transition: {exc.args[0]}") from exc
     doc = {
         "horizon": args.horizon,
         "root_state": args.root_state,
@@ -397,8 +399,8 @@ def cmd_certify(args) -> int:
         dual = DualPlan.from_dict(tree, dual_dict)
         report = check_rapid(plan, dual, cfg.cones, **limits)
     except (KeyError, ValueError) as exc:
-        raise ModelError(f"inconsistent plan/dual/model files: {exc}") \
-            from exc
+        raise ModelError(
+            f"inconsistent plan/dual/model files: {exc.args[0]}") from exc
     _emit(report.to_dict(), args.out)
     if args.out:
         print(f"verdict {report.verdict}")

@@ -717,7 +717,7 @@ def validate_assumptions(cone_table, samples: int = 200, seed: int = 0,
     gamma = np.inf
 
     for key, cone in items:
-        label = "->".join(key) if isinstance(key, tuple) else str(key)
+        label = "->".join(key)
         n = cone.n
         # (e_i, 0) per unit i, as contains decides each pair
         units = _membership_residual(cone, np.eye(n), np.zeros((n, n)))

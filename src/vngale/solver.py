@@ -299,9 +299,12 @@ class _TreeProgram:
                                         self.n_inner).reshape(-1, n, n)
         return G, H, CP, vals, rows
 
-    def _max_step(self, Y, dY, rows):
-        """Largest ``t`` keeping ``Y + t dY`` strictly inside every
-        coordinate and row barrier (inf when nothing blocks it)."""
+    def _cut_step(self, Y, dY, rows):
+        """``Y + min(1, 0.99 t_max) dY``, with ``t_max`` the largest ``t``
+        keeping ``Y + t dY`` strictly inside every coordinate and row
+        barrier (inf when nothing blocks it): the fraction-to-the-boundary
+        rule of primal-dual interior-point methods, with no line search
+        (Wright, *Primal-Dual Interior-Point Methods*, SIAM 1997)."""
         t_max = np.inf
         with np.errstate(divide="ignore", invalid="ignore"):
             neg = dY[1:] < 0
@@ -312,36 +315,32 @@ class _TreeProgram:
                 grow = dr > 0
                 if grow.any():
                     t_max = min(t_max, float((-r[grow] / dr[grow]).min()))
-        return t_max
+        return Y + min(1.0, 0.99 * t_max) * dY
 
     def newton_step(self, Y, mu):
-        """One Newton step on the barrier, cut to 0.99 of the way to the
-        boundary with no line search (Wright, *Primal-Dual Interior-Point
-        Methods*, SIAM 1997); returns the updated state, the Newton
-        decrement and the largest node's share of it per unit of that
-        node's probability.  A decrement that is not finite raises
-        :class:`SolverError`."""
+        """One Newton step on the barrier, cut by :meth:`_cut_step`;
+        returns the updated state, the Newton decrement and the largest
+        node's share of it per unit of that node's probability.  A
+        decrement that is not finite raises :class:`SolverError`."""
         G, H, CP, _, rows = self._assemble(Y, mu)
         dY, decrement, worst = self._solve_kkt_by_depth(G, H, CP)
         if not np.isfinite(decrement):
             raise SolverError(f"Newton step is not finite at mu = {mu:g}")
         if decrement <= 0:
             return Y, 0.0, 0.0
-        return (Y + min(1.0, 0.99 * self._max_step(Y, dY, rows)) * dY,
-                decrement, worst)
+        return self._cut_step(Y, dY, rows), decrement, worst
 
     def predictor_step(self, Y, mu, mu_next):
         """One step along the central-path tangent from ``mu`` to
         ``mu_next``: ``(1 - mu_next / mu) H^-1 (mu grad barrier)``, cut
-        to 0.99 of the way to the boundary, with no line search.  On
-        the path a coordinate ``y`` proportional to ``mu`` has tangent
-        step exactly ``y (mu_next / mu - 1)``, so the damped steps that
-        would open the next stage are taken in one."""
+        by :meth:`_cut_step`.  On the path a coordinate ``y`` proportional
+        to ``mu`` has tangent step exactly ``y (mu_next / mu - 1)``, so the
+        damped steps that would open the next stage are taken in one."""
         G, H, CP, _, rows = self._assemble(Y, mu, objective=False)
         dY = self._solve_kkt_by_depth(G, H, CP)[0]
         # dY = -H^-1 (mu grad barrier)
         dY *= mu_next / mu - 1.0
-        return Y + min(1.0, 0.99 * self._max_step(Y, dY, rows)) * dY
+        return self._cut_step(Y, dY, rows)
 
     def _solve_kkt_by_depth(self, G, H, CP):
         """Tree-structured Newton solve, batched one depth at a time.
@@ -678,11 +677,9 @@ class _StationaryProgram:
     def value(self, xs):
         """:meth:`growth` of one table (a float) or a stack of them (an
         ``(M,)`` array); ``-inf`` where a live transition has no
-        growth."""
-        a = self.factors(xs)
-        dead = (a[..., self.live] <= 0.0).any(axis=-1)
-        f = np.where(dead, -np.inf,
-                     self.growth(np.where(dead[..., None], 1.0, a)))
+        growth, as ``log 0``."""
+        with np.errstate(divide="ignore"):
+            f = self.growth(self.factors(xs))
         return float(f) if f.ndim == 0 else f
 
     def _rows(self, x):

@@ -281,6 +281,23 @@ def test_dominance_rejects_a_negative_competitor_count():
                              paths=10)
 
 
+def test_dominance_rejects_an_include_name_of_a_builtin():
+    # such a name used to add a second row under the built-in's name
+    spec = coin_spec()
+    table = coin_table()
+    eq = solve_stationary_equilibrium(spec, table, starts=2)
+    s = eq.strategy
+    with pytest.raises(ValueError, match=r"\['hold-0', 'random-1'\]"):
+        asymptotic_dominance(eq, spec, table, competitors=2, length=10,
+                             paths=5, include={"hold-0": s, "random-1": s,
+                                               "copy": s})
+    rep = asymptotic_dominance(eq, spec, table, competitors=2, length=10,
+                               paths=5, include={"random-2": s})
+    assert [r["competitor"] for r in rep.rows] == [
+        "hold-0", "hold-1", "dispose-10", "random-0", "random-1",
+        "random-2"]
+
+
 def test_dominance_accepts_bare_strategy():
     spec = coin_spec()
     table = coin_table()

@@ -3,14 +3,17 @@
 ``limits.tol`` and ``limits.defect_tol`` are the defaults of ``--tol``
 and ``--defect-tol``; explicit flags override them.  A tolerance of
 1e-30 is below any residual a floating-point certificate reaches, so the
-model-file limits must make the verdict fail.
+model-file limits must make the verdict fail.  ``check_rapid`` itself
+rejects a tolerance that is negative or not finite.
 """
 
 import json
+import math
 
 import pytest
 
-from vngale.cli import main
+from vngale import ContingentPlan, DualPlan, build_tree, check_rapid
+from vngale.cli import load_model, main
 
 TINY = 1e-30
 
@@ -81,3 +84,24 @@ def test_one_flag_keeps_the_other_limit(solved, capsys):
     _plain, strict, res = solved
     rc, rep = _certify(capsys, strict, res, "--tol", "1e-6")
     assert (rep["tol"], rep["defect_tol"]) == (1e-6, TINY)
+
+
+@pytest.mark.parametrize("key, bad", [
+    ("tol", -1.0), ("tol", math.nan), ("tol", math.inf),
+    ("defect_tol", -1e-9), ("defect_tol", math.nan),
+    ("defect_tol", math.inf)])
+def test_check_rapid_rejects_bad_tolerances(solved, key, bad):
+    # -1.0 used to give "fail" and an infinite defect_tol "pass"
+    plain, _strict, res = solved
+    cfg = load_model(plain)
+    with open(res, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    tree = build_tree(cfg.markov, doc["horizon"])
+    plan = ContingentPlan.from_dict(tree, doc["plan"])
+    dual = DualPlan.from_dict(tree, doc["dual"])
+    with pytest.raises(ValueError,
+                       match=f"{key} must be finite and >= 0, got {bad}"):
+        check_rapid(plan, dual, cfg.cones, competitors=3, **{key: bad})
+    # 0 is a valid tolerance: the verdict, not an error, says how it fares
+    assert check_rapid(plan, dual, cfg.cones, competitors=3,
+                       **{key: 0.0}).verdict in ("pass", "fail")

@@ -67,6 +67,18 @@ def pruned_model_doc():
     }
 
 
+def exact_key_model_doc():
+    """The coin chain with one cone per transition and no ``*->v`` key:
+    a tree with a free root has no cone for its first step."""
+    up = {"family": "frictionless", "returns": [1.0, 1.3]}
+    down = {"family": "frictionless", "returns": [1.0, 0.8]}
+    return {
+        "markov": {"states": ["U", "D"],
+                   "transition": [[0.5, 0.5], [0.5, 0.5]]},
+        "cones": {"U->U": up, "D->U": up, "U->D": down, "D->D": down},
+    }
+
+
 class TestUsageErrors:
     def test_no_command(self):
         with pytest.raises(SystemExit) as exc:
@@ -82,6 +94,13 @@ class TestUsageErrors:
         rc = main(["validate", "--model", str(tmp_path / "absent.json")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_out_in_a_missing_directory(self, coin_model, tmp_path, capsys):
+        out = tmp_path / "absent" / "report.json"
+        assert main(["validate", "--model", coin_model,
+                     "--out", str(out)]) == 2
+        assert f"cannot write {out}" in capsys.readouterr().err
+        assert not out.parent.exists()
 
 
 class TestModelSchema:
@@ -137,6 +156,17 @@ class TestModelSchema:
         f = write_json(tmp_path / "m.json", doc)
         assert main(["validate", "--model", f]) == 2
         assert "units must be" in capsys.readouterr().err
+
+    def test_sections_that_are_not_objects(self, tmp_path, capsys):
+        for key in ("conventions", "limits"):
+            doc = coin_model_doc()
+            doc[key] = ["wealth"]
+            f = write_json(tmp_path / "m.json", doc)
+            out = tmp_path / "report.json"
+            capsys.readouterr()
+            assert main(["validate", "--model", f, "--out", str(out)]) == 2
+            assert f"{key} must be an object" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_unknown_limit(self, tmp_path):
         doc = coin_model_doc()
@@ -267,6 +297,24 @@ class TestSolveTree:
                    "--x0", "0.5,0.5"])
         assert rc == 2
 
+    def test_free_root_without_a_star_cone(self, tmp_path, capsys):
+        """Exact keys cover every chain transition but not the free
+        root's first step: a usage error naming it without quotes, and
+        no file; a pinned root solves."""
+        model = write_json(tmp_path / "m.json", exact_key_model_doc())
+        out = tmp_path / "res.json"
+        assert main(["validate", "--model", model]) == 0
+        capsys.readouterr()
+        assert main(["solve-tree", "--model", model, "--horizon", "3",
+                     "--x0", "0.5,0.5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: no cone for a tree transition: no cone for "
+                       "transition '*' -> 'U'\n")
+        assert not out.exists()
+        assert main(["solve-tree", "--model", model, "--horizon", "3",
+                     "--x0", "0.5,0.5", "--root-state", "U",
+                     "--out", str(out)]) == 0
+
     def test_invalid_model_blocks_solve(self, tmp_path, capsys):
         doc = coin_model_doc(lam=0.01)
         doc["cones"]["*->U"]["lambda_minus"] = [1.0, 1.0]
@@ -347,6 +395,43 @@ class TestCertify:
                        "--dual", bad, "--competitors", "5"])
             assert rc == 2
             assert "outside" in capsys.readouterr().err
+
+    def test_missing_dual_file(self, coin_model, tmp_path, capsys):
+        res = self.solve(coin_model, tmp_path)
+        absent, out = tmp_path / "absent.json", tmp_path / "cert.json"
+        capsys.readouterr()
+        assert main(["certify", "--model", coin_model, "--plan", str(res),
+                     "--dual", str(absent), "--out", str(out)]) == 2
+        assert f"cannot read {absent}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_plan_file_without_a_portfolio(self, coin_model, tmp_path,
+                                           capsys):
+        res = self.solve(coin_model, tmp_path)
+        out = tmp_path / "cert.json"
+        for doc, message in (([1, 2], "expected a JSON object"),
+                             ({"plan": {}}, "no portfolio found")):
+            bad = write_json(tmp_path / "bad.json", doc)
+            capsys.readouterr()
+            assert main(["certify", "--model", coin_model, "--plan", bad,
+                         "--dual", str(res), "--out", str(out)]) == 2
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_model_without_the_plans_cone(self, coin_model, tmp_path,
+                                          capsys):
+        # a free-root plan certified against exact keys: the missing
+        # cone's message, without the quotes of str(KeyError)
+        res = self.solve(coin_model, tmp_path)
+        model = write_json(tmp_path / "exact.json", exact_key_model_doc())
+        out = tmp_path / "cert.json"
+        capsys.readouterr()
+        assert main(["certify", "--model", model, "--plan", str(res),
+                     "--dual", str(res), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: inconsistent plan/dual/model files: no cone for "
+            "transition '*' -> 'U'\n")
+        assert not out.exists()
 
     def test_missing_dual(self, coin_model, tmp_path, capsys):
         res = self.solve(coin_model, tmp_path, extra=("--skip-dual",))
